@@ -282,7 +282,7 @@ def cmd_concavity_search(args) -> tuple[dict, int]:
 
 def cmd_regularize(args) -> tuple[dict, int]:
     c_list = [float(c) for c in args.c]
-    if any(c <= 0.0 for c in c_list) or any(
+    if any(not c > 0.0 for c in c_list) or any(
         later >= earlier for earlier, later in zip(c_list[:-1], c_list[1:])
     ):
         raise MatrixFileError("--c values must be positive and strictly decreasing")

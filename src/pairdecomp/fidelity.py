@@ -1,9 +1,11 @@
 """Fidelity spectrum and the partial fidelity families.
 
 The fidelity spectrum of a pair (rho, omega) is the decreasing list of
-eigenvalues of (sqrt(rho) omega sqrt(rho))^{1/2}.  Partial sums of the
-spectrum give the increasing family F+_m; the complementary tail sums
-give the k-fidelities F_k = F - F+_k.
+eigenvalues of (sqrt(rho) omega sqrt(rho))^{1/2}: with the cached
+factors rho = A A* and omega = B B*, the singular values of A* B.  No
+square is formed, so small values keep their relative precision.
+Partial sums of the spectrum give the increasing family F+_m; the
+complementary tail sums give the k-fidelities F_k = F - F+_k.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
 from .exceptions import DimensionMismatchError
 from .states import StateOperator, as_state
 
@@ -57,10 +58,10 @@ def fidelity_spectrum(rho, omega) -> FidelityProfile:
     w = as_state(omega)
     if r.dim != w.dim:
         raise DimensionMismatchError(f"operator dims differ: {r.dim} vs {w.dim}")
-    root = matcore.psd_sqrt(r.matrix)
-    inner = matcore.hermitian_part(root @ w.matrix @ root)
-    eig = matcore._clamped_psd_eig(inner)
-    sigma = np.sqrt(eig.eigenvalues)
+    # factor(0.0): only the noise floor, no rank truncation
+    cross = r.spectrum.factor(0.0).conj().T @ w.spectrum.factor(0.0)
+    values = np.linalg.svd(cross, compute_uv=False)
+    sigma = np.pad(values, (0, r.dim - values.size))
     cumulative = np.concatenate([[0.0], np.cumsum(sigma)])
     return FidelityProfile(sigma, cumulative)
 

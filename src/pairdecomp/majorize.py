@@ -74,10 +74,11 @@ def first_majorization_violation(spectrum, weights, tol: float = MAJORIZE_TOL):
     sums_lam = partial_sums(lam)
     sums_p = partial_sums(p)
     scale = max(1.0, float(sums_lam[-1]))
+    # written as "not <=" so that NaN counts as a violation
     for m in range(1, n + 1):
-        if sums_p[m] > sums_lam[m] + tol * scale:
+        if not sums_p[m] <= sums_lam[m] + tol * scale:
             return m
-    if abs(sums_p[-1] - sums_lam[-1]) > tol * scale:
+    if not abs(sums_p[-1] - sums_lam[-1]) <= tol * scale:
         return n
     return None
 
@@ -100,7 +101,7 @@ def nielsen_decomposition(
     follows ``weights`` as given.
     """
     p = _clean_weights(weights, "weights")
-    lam = matcore._clamped_psd_eig(tau.matrix).eigenvalues
+    lam = tau.spectrum.eigenvalues
     violation = first_majorization_violation(lam, p)
     if violation is not None:
         raise NotMajorizedError(
@@ -152,11 +153,6 @@ def nielsen_decomposition(
     return Decomposition(vectors[unsort])
 
 
-def _eigen_data(tau: StateOperator):
-    eig = matcore._clamped_psd_eig(tau.matrix)
-    return eig.eigenvalues
-
-
 def _check_decompositions(
     first: Decomposition, second: Decomposition, tau: StateOperator, tol: float
 ):
@@ -182,7 +178,7 @@ def pairing_gap(
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     _check_decompositions(first, second, tau, tol)
-    lam = _eigen_data(tau)
+    lam = tau.spectrum.eigenvalues
     top = float(np.sum(lam[: min(m, lam.size)]))
     upto = min(m, first.length, second.length)
     overlaps = np.abs(
@@ -209,9 +205,9 @@ def certify_equality(
     phase works there.
     """
     gap = pairing_gap(first, second, tau, m, max(tol, DEFAULT_MATCH_TOL))
-    lam = _eigen_data(tau)
-    lam_max = float(lam[0]) if lam.size else 0.0
-    scale = max(1.0, lam_max)
+    lam = tau.spectrum.eigenvalues
+    rank = tau.spectrum.rank(rank_tol)
+    scale = max(1.0, float(lam[0]) if lam.size else 0.0)
     upto = min(m, first.length, second.length)
 
     residuals = [abs(gap)]
@@ -224,7 +220,7 @@ def certify_equality(
         residuals.append(eig_res)
         if eig_res > tol * scale:
             ok = False
-        if lam_j > rank_tol * lam_max:
+        if j < rank:
             overlap = complex(np.vdot(chi, second.vectors[j]))
             eps = overlap / lam_j
             phases[j] = eps

@@ -1,9 +1,10 @@
 """Dense complex linear algebra kernel for positive operators.
 
-Hermitian eigendecomposition by cyclic Jacobi rotations, matrix functions
-of positive semidefinite operators, support/null projections and the
-operator geometric mean.  Everything works on plain ``numpy`` arrays,
-never mutates its inputs, and is deterministic: the same input bits give
+Hermitian eigendecomposition by cyclic Jacobi rotations, the clamped
+spectrum of a positive semidefinite operator (where every numerical rank
+is decided), matrix functions, support/null projections and the operator
+geometric mean.  Everything works on plain ``numpy`` arrays, never
+mutates its inputs, and is deterministic: the same input bits give
 the same output bits.
 """
 
@@ -50,6 +51,8 @@ def require_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NotHermitianError("matrix has non-finite (NaN or Inf) entries")
     return a
 
 
@@ -85,6 +88,38 @@ class RankInfo:
     null_projection: np.ndarray
 
 
+@dataclass(frozen=True)
+class PsdSpectrum(HermitianEig):
+    """Spectral data of a PSD matrix, eigenvalues clamped to be nonnegative.
+
+    ``rank`` counts the eigenvalues above ``rank_tol * lambda_max``; the
+    zero operator has rank 0.
+    """
+
+    def rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+        vals = self.eigenvalues
+        lam_max = float(vals[0]) if vals.size else 0.0
+        return int(np.sum(vals > rank_tol * lam_max)) if lam_max > 0.0 else 0
+
+    def basis(self, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+        """Orthonormal basis of the support, as columns."""
+        return self.eigenvectors[:, : self.rank(rank_tol)]
+
+    def factor(self, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+        """Factor A (d x rank), scaled support eigenvectors: A A* = matrix.
+
+        ``rank_tol = 0`` keeps every eigenvalue above the noise floor.
+        """
+        r = self.rank(rank_tol)
+        return self.eigenvectors[:, :r] * np.sqrt(self.eigenvalues[:r])
+
+    def support(self, rank_tol: float = DEFAULT_RANK_TOL) -> RankInfo:
+        v = self.basis(rank_tol)
+        projection = hermitian_part(v @ v.conj().T)
+        null = np.eye(v.shape[0], dtype=np.complex128) - projection
+        return RankInfo(v.shape[1], projection, hermitian_part(null))
+
+
 def hermitian_eig(matrix: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
@@ -94,7 +129,7 @@ def hermitian_eig(matrix: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> Hermitia
     reproducible bit for bit; ties between equal eigenvalues keep the
     solver's output order.
 
-    Raises ``NotHermitianError`` for non-Hermitian input and
+    Raises ``NotHermitianError`` for non-Hermitian or non-finite input and
     ``NoConvergenceError`` if ``max_sweeps`` sweeps do not converge
     (quadratic convergence makes this unreachable in practice).
     """
@@ -156,17 +191,18 @@ def hermitian_eig(matrix: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> Hermitia
     return HermitianEig(vals[order], vecs[:, order])
 
 
-def _clamped_psd_eig(a: np.ndarray, clamp_tol: float = PSD_CLAMP_TOL) -> HermitianEig:
-    """Eigendecomposition with small negative eigenvalues clamped to zero.
+def psd_spectrum(a: np.ndarray) -> PsdSpectrum:
+    """Spectrum of a PSD matrix with small negative eigenvalues clamped to zero.
 
-    Eigenvalues below ``-clamp_tol * lambda_max`` mean the matrix is not
-    PSD and raise ``NotPSDError``; the band [-clamp_tol * lambda_max, 0)
-    is floating-point noise and is set to exactly zero.
+    Eigenvalues below ``-PSD_CLAMP_TOL * lambda_max`` mean the matrix is
+    not PSD and raise ``NotPSDError``; the band up to
+    ``EIG_NOISE_FLOOR * lambda_max`` is floating-point noise and is set to
+    exactly zero.
     """
     eig = hermitian_eig(a)
     vals = eig.eigenvalues.copy()
     lam_max = max(float(vals[0]), 0.0)
-    floor = -clamp_tol * max(lam_max, 1e-300)
+    floor = -PSD_CLAMP_TOL * max(lam_max, 1e-300)
     if vals[-1] < floor:
         raise NotPSDError(
             f"matrix has negative eigenvalue {vals[-1]:.3e} "
@@ -174,14 +210,16 @@ def _clamped_psd_eig(a: np.ndarray, clamp_tol: float = PSD_CLAMP_TOL) -> Hermiti
         )
     np.clip(vals, 0.0, None, out=vals)
     vals[vals < EIG_NOISE_FLOOR * lam_max] = 0.0
-    return HermitianEig(vals, eig.eigenvectors)
+    # read-only: a StateOperator hands the same spectrum to every caller
+    vals.flags.writeable = False
+    eig.eigenvectors.flags.writeable = False
+    return PsdSpectrum(vals, eig.eigenvectors)
 
 
-def psd_sqrt(a: np.ndarray, clamp_tol: float = PSD_CLAMP_TOL) -> np.ndarray:
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Positive semidefinite square root of a PSD matrix."""
-    eig = _clamped_psd_eig(a, clamp_tol)
-    v = eig.eigenvectors
-    return hermitian_part((v * np.sqrt(eig.eigenvalues)) @ v.conj().T)
+    spectrum = psd_spectrum(a)
+    return hermitian_part(spectrum.factor(0.0) @ spectrum.basis(0.0).conj().T)
 
 
 def support_info(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> RankInfo:
@@ -190,39 +228,25 @@ def support_info(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> RankInfo:
     The rank counts eigenvalues above ``rank_tol * lambda_max``; the zero
     operator has rank 0 and a zero support projection.
     """
-    eig = _clamped_psd_eig(a)
-    vals = eig.eigenvalues
-    lam_max = float(vals[0]) if vals.size else 0.0
-    rank = int(np.sum(vals > rank_tol * lam_max)) if lam_max > 0.0 else 0
-    v = eig.eigenvectors[:, :rank]
-    support = hermitian_part(v @ v.conj().T)
-    null = np.eye(a.shape[0], dtype=np.complex128) - support
-    return RankInfo(rank, support, hermitian_part(null))
+    return psd_spectrum(a).support(rank_tol)
 
 
 def pinv_sqrt(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Pseudo-inverse square root: R with R a R = support projection of a."""
-    eig = _clamped_psd_eig(a)
-    vals = eig.eigenvalues
-    lam_max = float(vals[0]) if vals.size else 0.0
-    inv = np.zeros_like(vals)
-    if lam_max > 0.0:
-        keep = vals > rank_tol * lam_max
-        inv[keep] = 1.0 / np.sqrt(vals[keep])
-    v = eig.eigenvectors
+    spectrum = psd_spectrum(a)
+    v = spectrum.basis(rank_tol)
+    inv = 1.0 / np.sqrt(spectrum.eigenvalues[: v.shape[1]])
     return hermitian_part((v * inv) @ v.conj().T)
 
 
-def _strict_pd_eig(a: np.ndarray, rank_tol: float, name: str) -> HermitianEig:
-    eig = _clamped_psd_eig(a)
-    vals = eig.eigenvalues
-    lam_max = float(vals[0]) if vals.size else 0.0
-    if lam_max <= 0.0 or vals[-1] <= rank_tol * lam_max:
+def _require_pd(spectrum: PsdSpectrum, rank_tol: float, name: str) -> PsdSpectrum:
+    """Return ``spectrum`` if it has full rank, else raise ``SingularOperatorError``."""
+    if spectrum.rank(rank_tol) < spectrum.eigenvalues.size:
         raise SingularOperatorError(
             f"{name} operand is not strictly positive definite "
             f"(min/max eigenvalue ratio below rank_tol={rank_tol:.1e})"
         )
-    return eig
+    return spectrum
 
 
 def geometric_mean(
@@ -234,10 +258,10 @@ def geometric_mean(
     computed as a^{1/2} (a^{-1/2} b a^{-1/2})^{1/2} a^{1/2}.  The mean is
     symmetric in its operands; both must be strictly positive definite.
     """
-    eig_a = _strict_pd_eig(a, rank_tol, "first")
-    _strict_pd_eig(b, rank_tol, "second")
-    v = eig_a.eigenvectors
-    root = np.sqrt(eig_a.eigenvalues)
+    spectrum_a = _require_pd(psd_spectrum(a), rank_tol, "first")
+    _require_pd(psd_spectrum(b), rank_tol, "second")
+    v = spectrum_a.eigenvectors
+    root = np.sqrt(spectrum_a.eigenvalues)
     a_half = (v * root) @ v.conj().T
     a_ihalf = (v * (1.0 / root)) @ v.conj().T
     middle = psd_sqrt(hermitian_part(a_ihalf @ b @ a_ihalf))

@@ -1,11 +1,14 @@
 """Optimal simultaneous decompositions of an operator pair.
 
-The construction gauges (rho, omega) to a common operator tau with an
-invertible congruence, reads the optimal vectors off tau's spectral
-decomposition, and maps them back.  Pairs without a common support are
-first shrunk by alternating support projections; the resulting optimal
-vectors are then lifted step by step back to decompositions of the
-original operators without losing any pairing value.
+On a common support, with the cached factors rho = A A* and omega = B B*,
+the SVD A* B = U S V* gives the optimal vectors psi_j = A u_j and
+phi_j = B v_j (Uhlmann's theorem), biorthogonal with pairing values S.
+Pairs without a common support are first shrunk by alternating support
+projections; the optimal vectors are then lifted step by step back to
+decompositions of the original operators without losing pairing value.
+The paper's gauge construction stays as ``solve_gauge``: an invertible
+congruence takes (rho, omega) to a common operator tau whose spectrum is
+the same S.
 """
 
 from __future__ import annotations
@@ -89,10 +92,10 @@ def solve_gauge(
     """
     if rho.dim != omega.dim:
         raise DimensionMismatchError(f"operator dims differ: {rho.dim} vs {omega.dim}")
-    eig_w = matcore._strict_pd_eig(omega.matrix, rank_tol, "omega")
-    matcore._strict_pd_eig(rho.matrix, rank_tol, "rho")
-    v = eig_w.eigenvectors
-    root = np.sqrt(eig_w.eigenvalues)
+    spectrum_w = matcore._require_pd(omega.spectrum, rank_tol, "omega")
+    matcore._require_pd(rho.spectrum, rank_tol, "rho")
+    v = spectrum_w.eigenvectors
+    root = np.sqrt(spectrum_w.eigenvalues)
     w_half = (v * root) @ v.conj().T
     w_ihalf = (v * (1.0 / root)) @ v.conj().T
     inner = matcore.psd_sqrt(matcore.hermitian_part(w_half @ rho.matrix @ w_half))
@@ -100,17 +103,6 @@ def solve_gauge(
     x = matcore.psd_sqrt(squared)
     tau = StateOperator(matcore.hermitian_part(x @ omega.matrix @ x))
     return GaugePair(x, tau, rho.dim)
-
-
-def _support_basis(
-    operator: StateOperator, rank_tol: float
-) -> tuple[np.ndarray, int]:
-    """Orthonormal basis (columns) of the support, with the numerical rank."""
-    eig = matcore._clamped_psd_eig(operator.matrix)
-    vals = eig.eigenvalues
-    lam_max = float(vals[0]) if vals.size else 0.0
-    rank = int(np.sum(vals > rank_tol * lam_max)) if lam_max > 0.0 else 0
-    return eig.eigenvectors[:, :rank], rank
 
 
 def optimal_pair(
@@ -124,32 +116,24 @@ def optimal_pair(
     """
     if rho.dim != omega.dim:
         raise DimensionMismatchError(f"operator dims differ: {rho.dim} vs {omega.dim}")
-    basis, rank = _support_basis(rho, rank_tol)
-    basis_w, rank_w = _support_basis(omega, rank_tol)
-    proj_r = basis @ basis.conj().T
-    proj_w = basis_w @ basis_w.conj().T
-    if rank != rank_w or matcore.frobenius(proj_r - proj_w) > SUPPORT_MATCH_TOL:
+    info_r = rho.spectrum.support(rank_tol)
+    info_w = omega.spectrum.support(rank_tol)
+    if not _same_support(info_r, info_w):
         raise UnequalSupportsError(
-            f"supports differ (ranks {rank} vs {rank_w}); use optimal_pair_general"
+            f"supports differ (ranks {info_r.rank} vs {info_w.rank}); "
+            "use optimal_pair_general"
         )
-    if rank == 0:
-        empty = Decomposition(np.zeros((0, rho.dim), dtype=np.complex128))
-        return OptimalPair(empty, empty, np.zeros(0))
-
-    rho_s = StateOperator(matcore.hermitian_part(basis.conj().T @ rho.matrix @ basis))
-    omega_s = StateOperator(matcore.hermitian_part(basis.conj().T @ omega.matrix @ basis))
-    gauge = solve_gauge(rho_s, omega_s, rank_tol)
-    eig_tau = matcore._clamped_psd_eig(gauge.tau.matrix)
-    chi = eig_tau.eigenvectors * np.sqrt(eig_tau.eigenvalues)  # columns
-
-    x = gauge.X
-    psi_cols = basis @ (x @ chi)
-    phi_cols = basis @ np.linalg.solve(x, chi)
+    a = rho.spectrum.factor(rank_tol)
+    b = omega.spectrum.factor(rank_tol)
+    u, values, vh = np.linalg.svd(a.conj().T @ b)
     return OptimalPair(
-        Decomposition(psi_cols.T),
-        Decomposition(phi_cols.T),
-        eig_tau.eigenvalues.copy(),
+        Decomposition((a @ u).T), Decomposition((b @ vh.conj().T).T), values
     )
+
+
+def _same_support(info_r: matcore.RankInfo, info_w: matcore.RankInfo) -> bool:
+    gap = matcore.frobenius(info_r.support_projection - info_w.support_projection)
+    return info_r.rank == info_w.rank and gap <= SUPPORT_MATCH_TOL
 
 
 def support_reduction(
@@ -172,29 +156,23 @@ def support_reduction(
     steps: list[ReductionStep] = []
     rho_turn = True
     for _ in range(2 * rho.dim + 4):
-        info_r = matcore.support_info(cur_r.matrix, rank_tol)
-        info_w = matcore.support_info(cur_w.matrix, rank_tol)
+        info_r = cur_r.spectrum.support(rank_tol)
+        info_w = cur_w.spectrum.support(rank_tol)
         if info_r.rank == 0 and info_w.rank == 0:
             raise BothZeroError("support reduction annihilated both operators")
-        if (
-            info_r.rank == info_w.rank
-            and matcore.frobenius(info_r.support_projection - info_w.support_projection)
-            <= SUPPORT_MATCH_TOL
-        ):
+        if _same_support(info_r, info_w):
             return SupportReductionTrace(tuple(steps), cur_r, cur_w)
         if rho_turn:
             q = info_w.support_projection
             new_r = StateOperator(matcore.hermitian_part(q @ cur_r.matrix @ q))
             if not _unchanged(cur_r, new_r):
-                rank_after = matcore.support_info(new_r.matrix, rank_tol).rank
-                steps.append(ReductionStep("rho", q, rank_after, cur_r))
+                steps.append(ReductionStep("rho", q, new_r.spectrum.rank(rank_tol), cur_r))
             cur_r = new_r
         else:
             p = info_r.support_projection
             new_w = StateOperator(matcore.hermitian_part(p @ cur_w.matrix @ p))
             if not _unchanged(cur_w, new_w):
-                rank_after = matcore.support_info(new_w.matrix, rank_tol).rank
-                steps.append(ReductionStep("omega", p, rank_after, cur_w))
+                steps.append(ReductionStep("omega", p, new_w.spectrum.rank(rank_tol), cur_w))
             cur_w = new_w
         rho_turn = not rho_turn
     raise RuntimeError("support reduction failed to terminate")  # unreachable
@@ -203,15 +181,6 @@ def support_reduction(
 def _unchanged(before: StateOperator, after: StateOperator) -> bool:
     gap = matcore.frobenius(after.matrix - before.matrix)
     return gap <= SUPPORT_MATCH_TOL * max(1.0, matcore.frobenius(before.matrix))
-
-
-def _psd_factor(operator: StateOperator, rank_tol: float) -> np.ndarray:
-    """Factor A (d x rank) with A A* = operator, columns scaled eigenvectors."""
-    eig = matcore._clamped_psd_eig(operator.matrix)
-    vals = eig.eigenvalues
-    lam_max = float(vals[0]) if vals.size else 0.0
-    keep = vals > rank_tol * lam_max if lam_max > 0.0 else np.zeros_like(vals, bool)
-    return eig.eigenvectors[:, keep] * np.sqrt(vals[keep])
 
 
 def _lift_through_projection(
@@ -230,7 +199,7 @@ def _lift_through_projection(
     are read off an SVD of Q A and the free components are completed to
     an isometry, which may require appending rows.
     """
-    a = _psd_factor(target, rank_tol)  # (dim, r)
+    a = target.spectrum.factor(rank_tol)  # (dim, r)
     r = a.shape[1]
     b = projector @ a
     u, s, vh = np.linalg.svd(b, full_matrices=False)
@@ -309,7 +278,7 @@ def gauge_on_common_support(
     orthogonally supported pairs.
     """
     trace = support_reduction(rho, omega, rank_tol)
-    basis, rank = _support_basis(trace.final_rho, rank_tol)
+    basis = trace.final_rho.spectrum.basis(rank_tol)
     rho_s = StateOperator(
         matcore.hermitian_part(basis.conj().T @ trace.final_rho.matrix @ basis)
     )
@@ -323,7 +292,7 @@ def gauge_on_common_support(
     tau_full = StateOperator(
         matcore.hermitian_part(basis @ reduced.tau.matrix @ basis.conj().T)
     )
-    return GaugePair(x_full, tau_full, rank)
+    return GaugePair(x_full, tau_full, basis.shape[1])
 
 
 def _checked_inverse(x: np.ndarray) -> np.ndarray:
@@ -390,10 +359,10 @@ def regularized_profile(
     that the regularization creates stay below sigma+_min there, to first
     order in h.
     """
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValueError(f"regularization constant must be positive, got {c}")
-    p0 = matcore.support_info(rho.matrix, rank_tol).null_projection
-    q0 = matcore.support_info(omega.matrix, rank_tol).null_projection
+    p0 = rho.spectrum.support(rank_tol).null_projection
+    q0 = omega.spectrum.support(rank_tol).null_projection
     reg_rho = StateOperator(rho.matrix + c * p0)
     reg_omega = StateOperator(omega.matrix + c * q0)
     return fidelity_spectrum(reg_rho, reg_omega)

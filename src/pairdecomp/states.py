@@ -8,6 +8,7 @@ operator.  Order matters: downstream objectives pair vectors by index.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,15 +37,21 @@ class StateOperator:
         object.__setattr__(self, "dim", m.shape[0])
 
     @classmethod
-    def from_matrix(cls, matrix, clamp_tol: float = matcore.PSD_CLAMP_TOL) -> "StateOperator":
+    def from_matrix(cls, matrix) -> "StateOperator":
         """Validate Hermiticity and positivity, then wrap the matrix.
 
-        Eigenvalues in [-clamp_tol * lambda_max, 0) are accepted as noise;
-        anything lower raises ``NotPSDError``.
+        Eigenvalues in [-PSD_CLAMP_TOL * lambda_max, 0) are accepted as
+        noise; anything lower raises ``NotPSDError``.  The spectrum computed
+        for the check is kept as ``spectrum``.
         """
-        m = matcore.require_hermitian(matrix)
-        matcore._clamped_psd_eig(m, clamp_tol)
-        return cls(m)
+        operator = cls(matcore.require_hermitian(matrix))
+        operator.spectrum  # raises NotPSDError; stays cached
+        return operator
+
+    @functools.cached_property
+    def spectrum(self) -> matcore.PsdSpectrum:
+        """Clamped spectrum of the matrix, computed once per operator."""
+        return matcore.psd_spectrum(self.matrix)
 
     @property
     def trace(self) -> float:
@@ -132,12 +139,8 @@ def spectral_decomposition(
     Eigenvalues come out decreasing, so the vector norms do too; vectors
     for numerically zero eigenvalues are exact zeros.
     """
-    eig = matcore._clamped_psd_eig(tau.matrix)
-    vals = eig.eigenvalues.copy()
-    lam_max = float(vals[0]) if vals.size else 0.0
-    vals[vals <= rank_tol * lam_max] = 0.0
-    vectors = (eig.eigenvectors * np.sqrt(vals)).T
-    return Decomposition(vectors)
+    factor = tau.spectrum.factor(rank_tol)
+    return pad_to_length(Decomposition(factor.T), tau.dim)
 
 
 def decomposition_from_unitary(tau: StateOperator, remix: np.ndarray) -> Decomposition:
@@ -149,14 +152,11 @@ def decomposition_from_unitary(tau: StateOperator, remix: np.ndarray) -> Decompo
     """
     remix = np.asarray(remix, dtype=np.complex128)
     n = remix.shape[0]
-    eig = matcore._clamped_psd_eig(tau.matrix)
-    vals = eig.eigenvalues
-    lam_max = float(vals[0]) if vals.size else 0.0
-    rank = int(np.sum(vals > matcore.DEFAULT_RANK_TOL * lam_max)) if lam_max > 0 else 0
+    factor = tau.spectrum.factor()
+    rank = factor.shape[1]
     if n < rank:
         raise LengthTooShortError(f"length {n} is below the operator rank {rank}")
-    scaled = eig.eigenvectors[:, :rank] * np.sqrt(vals[:rank])
-    return Decomposition(remix[:, :rank] @ scaled.T)
+    return Decomposition(remix[:, :rank] @ factor.T)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

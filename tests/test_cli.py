@@ -208,6 +208,13 @@ def test_nielsen_unmajorized_exits_5(tmp_path, capsys):
     assert "prefix: 1" in err
 
 
+def test_nielsen_nan_weight_exits_5(tmp_path, capsys):
+    path = write_matrix(tmp_path / "tau.json", np.diag([0.75, 0.25]))
+    code, out, _ = run_cli(capsys, "nielsen", path, "--weights", "nan", "1")
+    assert code == 5
+    assert out == ""
+
+
 # ---------------------------------------------------------------- concavity search
 
 def test_concavity_search_zero_trials(capsys):
@@ -263,6 +270,13 @@ def test_regularize_rejects_non_decreasing_c(pair_files, capsys):
     code, _, err = run_cli(capsys, "regularize", *pair_files, "--c", "1e-4", "1e-2")
     assert code == 2
     assert "decreasing" in err
+
+
+def test_regularize_rejects_nan_c(pair_files, capsys):
+    code, out, err = run_cli(capsys, "regularize", *pair_files, "--c", "nan")
+    assert code == 2
+    assert out == ""
+    assert "positive" in err
 
 
 # ---------------------------------------------------------------- determinism

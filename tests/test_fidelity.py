@@ -23,9 +23,11 @@ def pure_state(vector):
 
 
 def test_self_pair_spectrum_is_the_spectrum():
-    tau = diag_state(0.75, 0.25)
-    profile = fidelity_spectrum(tau, tau)
-    np.testing.assert_allclose(profile.sigma, [0.75, 0.25], atol=1e-12)
+    # (1, 1e-8): a small value keeps its relative precision, it is not pinned to 0
+    for values in ([0.75, 0.25], [1.0, 1e-8]):
+        tau = diag_state(*values)
+        profile = fidelity_spectrum(tau, tau)
+        np.testing.assert_allclose(profile.sigma, values, atol=1e-12)
 
 
 def test_commuting_closed_form():

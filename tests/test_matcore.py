@@ -16,6 +16,7 @@ from pairdecomp import (
     psd_sqrt,
     support_info,
 )
+from pairdecomp.matcore import require_square
 
 
 def characteristic_roots(a):
@@ -85,6 +86,17 @@ def test_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(NotHermitianError):
         hermitian_eig(np.zeros((2, 3), dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_entries_are_rejected(bad):
+    # rejected up front, not after an exhausted sweep budget
+    a = np.eye(32, dtype=complex)
+    a[3, 3] = bad
+    with pytest.raises(NotHermitianError, match="non-finite"):
+        require_square(a)
+    with pytest.raises(NotHermitianError):
+        hermitian_eig(a)
 
 
 def test_eig_sweep_budget():

@@ -76,6 +76,9 @@ def test_gauge_residuals(seed):
     scale = max(1.0, frobenius(tau))
     assert frobenius(x @ omega.matrix @ x.conj().T - tau) <= 1e-8 * scale
     assert frobenius(x_inv.conj().T @ rho.matrix @ x_inv - tau) <= 1e-8 * scale
+    # the paper's gauge is an independent oracle for the factor-SVD engine
+    tau_spectrum = np.linalg.eigvalsh(tau)[::-1]
+    np.testing.assert_allclose(tau_spectrum, optimal_pair(rho, omega).values, atol=1e-8)
 
 
 def test_gauge_rejects_singular_operand():
@@ -386,6 +389,8 @@ def test_regularized_profile_rejects_nonpositive_c():
     rho = random_state(rng, 2)
     with pytest.raises(ValueError):
         regularized_profile(rho, rho, 0.0)
+    with pytest.raises(ValueError):
+        regularized_profile(rho, rho, float("nan"))
 
 
 def test_extrapolate_to_zero_polynomial():

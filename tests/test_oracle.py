@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_complex, random_state, random_unit_vector
+from conftest import random_complex, random_psd_matrix, random_state, random_unit_vector
+from pairdecomp import matcore
 from pairdecomp import (
     Decomposition,
     MTooLargeError,
@@ -128,6 +129,28 @@ def test_search_is_deterministic():
     first = random_search(rho, omega, 2, (3, 3), samples=50, seed=9)
     second = random_search(rho, omega, 2, (3, 3), samples=50, seed=9)
     assert first == second
+
+
+def test_search_decomposes_each_operator_once(monkeypatch):
+    calls = []
+
+    def counting_eig(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return original(matrix, *args, **kwargs)
+
+    original = matcore.hermitian_eig
+    monkeypatch.setattr(matcore, "hermitian_eig", counting_eig)
+    rng = np.random.default_rng(10)
+    rho_matrix = random_psd_matrix(rng, 4, rank=2)
+    omega_matrix = random_psd_matrix(rng, 4, rank=3)
+    counts = []
+    for samples in (5, 50):
+        # fresh operators: every spectrum is computed inside the search
+        rho, omega = StateOperator(rho_matrix), StateOperator(omega_matrix)
+        calls.clear()
+        random_search(rho, omega, 2, (4, 4), samples=samples, seed=3)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_search_requires_samples():
