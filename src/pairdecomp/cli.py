@@ -21,18 +21,17 @@ import sys
 
 import numpy as np
 
-from . import __version__, matcore
+from . import __version__
 from .exceptions import (
     BothZeroError,
     DimensionMismatchError,
     MatrixFileError,
-    NotHermitianError,
     NotMajorizedError,
-    NotPSDError,
     PairDecompError,
 )
 from .fidelity import fidelity_spectrum, partial_fidelity_plus
 from .majorize import first_majorization_violation, nielsen_decomposition
+from .matcore import DEFAULT_RANK_TOL
 from .optimal import (
     extrapolate_to_zero,
     gauge_on_common_support,
@@ -42,11 +41,12 @@ from .optimal import (
 )
 from .oracle import random_search
 from .states import (
+    DEFAULT_MATCH_TOL,
     StateOperator,
     is_decomposition_of,
     mix,
     random_state_operator,
-    reconstruct,
+    reconstruction_error,
 )
 
 EXIT_OK = 0
@@ -171,10 +171,6 @@ def cmd_decompose(args) -> tuple[dict, int]:
     np.fill_diagonal(target, pair.values)
     biortho = float(np.max(np.abs(gram - target)))
 
-    def _rec_residual(deco, operator):
-        err = matcore.frobenius(reconstruct(deco).matrix - operator.matrix)
-        return err / max(1.0, matcore.frobenius(operator.matrix))
-
     table = []
     for m in range(1, profile.dim + 1):
         achieved = float(np.sum(pair.values[:m]))
@@ -199,8 +195,8 @@ def cmd_decompose(args) -> tuple[dict, int]:
         "gauge": gauge_payload,
         "residuals": {
             "biorthogonality": biortho,
-            "psi_reconstruction": _rec_residual(pair.psi, rho),
-            "phi_reconstruction": _rec_residual(pair.phi, omega),
+            "psi_reconstruction": reconstruction_error(pair.psi, rho),
+            "phi_reconstruction": reconstruction_error(pair.phi, omega),
         },
         "partial_sums": table,
     }
@@ -213,7 +209,6 @@ def cmd_verify(args) -> tuple[dict, int]:
     m = args.m if args.m is not None else dim
     lengths = tuple(args.lengths) if args.lengths else (dim, dim)
     report = random_search(rho, omega, m, lengths, args.samples, args.seed)
-    attained = report.best_value >= report.upper_bound - 1e-8
     results = {
         "m": report.m,
         "samples": report.samples,
@@ -222,9 +217,9 @@ def cmd_verify(args) -> tuple[dict, int]:
         "best_seed": report.best_seed,
         "upper_bound": report.upper_bound,
         "violation": report.violation,
-        "attained": bool(attained),
+        "attained": report.attained,
     }
-    code = EXIT_OK if (not report.violation and attained) else EXIT_VIOLATION
+    code = EXIT_OK if (not report.violation and report.attained) else EXIT_VIOLATION
     return build_report("verify", inputs, results, args), code
 
 
@@ -327,9 +322,9 @@ def cmd_regularize(args) -> tuple[dict, int]:
 
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-10,
+    common.add_argument("--rank-tol", dest="rank_tol", type=float, default=DEFAULT_RANK_TOL,
                         help="relative eigenvalue threshold for supports")
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=float, default=DEFAULT_MATCH_TOL,
                         help="relative comparison tolerance")
     common.add_argument("--seed", type=int, default=0, help="random seed")
 
@@ -397,9 +392,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_NOT_MAJORIZED
-    except (NotHermitianError, NotPSDError, DimensionMismatchError) as exc:
-        print(f"pairdecomp: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except PairDecompError as exc:
         print(f"pairdecomp: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -24,10 +24,11 @@ from .states import (
     Decomposition,
     StateOperator,
     is_decomposition_of,
+    pad_to_length,
     spectral_decomposition,
 )
 
-#: absolute slack used in majorization partial-sum comparisons
+#: relative slack in majorization comparisons
 MAJORIZE_TOL = 1e-10
 
 
@@ -48,7 +49,7 @@ class EqualityCertificate:
 
 def _clean_weights(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float).ravel()
-    if arr.size and float(arr.min()) < -MAJORIZE_TOL * max(1.0, float(np.abs(arr).max())):
+    if arr.size and float(arr.min()) < -MAJORIZE_TOL * float(np.abs(arr).max()):
         raise NegativeEntryError(f"{name} contains a negative entry: {arr.min()}")
     return np.clip(arr, 0.0, None)
 
@@ -73,7 +74,7 @@ def first_majorization_violation(spectrum, weights, tol: float = MAJORIZE_TOL):
     p = np.pad(p, (0, n - p.size))
     sums_lam = partial_sums(lam)
     sums_p = partial_sums(p)
-    scale = max(1.0, float(sums_lam[-1]))
+    scale = float(sums_lam[-1])
     # written as "not <=" so that NaN counts as a violation
     for m in range(1, n + 1):
         if not sums_p[m] <= sums_lam[m] + tol * scale:
@@ -113,16 +114,10 @@ def nielsen_decomposition(
     target = p[order]
 
     spectral = spectral_decomposition(tau, rank_tol)
-    rows = spectral.vectors
-    if rows.shape[0] < n:
-        rows = np.vstack(
-            [rows, np.zeros((n - rows.shape[0], tau.dim), dtype=np.complex128)]
-        )
-    vectors = rows[:n].copy()
+    vectors = pad_to_length(spectral, max(n, spectral.length)).vectors[:n].copy()
     current = np.pad(lam, (0, max(0, n - lam.size)))[:n].copy()
 
-    scale = max(1.0, float(current.max()) if current.size else 1.0)
-    snap = 1e-14 * scale
+    snap = 1e-14 * float(current.max(initial=0.0))
     for _ in range(2 * n + 2):
         excess = np.nonzero(current - target > snap)[0]
         if excess.size == 0:
@@ -207,7 +202,7 @@ def certify_equality(
     gap = pairing_gap(first, second, tau, m, max(tol, DEFAULT_MATCH_TOL))
     lam = tau.spectrum.eigenvalues
     rank = tau.spectrum.rank(rank_tol)
-    scale = max(1.0, float(lam[0]) if lam.size else 0.0)
+    scale = float(lam[0])
     upto = min(m, first.length, second.length)
 
     residuals = [abs(gap)]

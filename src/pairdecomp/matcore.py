@@ -6,6 +6,13 @@ is decided), matrix functions, support/null projections and the operator
 geometric mean.  Everything works on plain ``numpy`` arrays, never
 mutates its inputs, and is deterministic: the same input bits give
 the same output bits.
+
+Every check in the package follows one rule: a gap is negligible when
+it is at most ``tol * scale``, with ``scale`` the operand's own size --
+the Frobenius norm of a matrix, the trace of a weight sum, lambda_max of
+a spectrum, sqrt(tr rho * tr omega) for a pairing sum (its Cauchy-Schwarz
+bound).  With no absolute floor, no verdict changes under rho -> s rho,
+and an exact zero compares equal only to an exact zero.
 """
 
 from __future__ import annotations
@@ -56,11 +63,11 @@ def require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate Hermiticity to relative tolerance and return the complex view."""
     a = require_square(a)
     defect = frobenius(a - a.conj().T)
-    if defect > tol * max(1.0, frobenius(a)):
+    if defect > HERMITICITY_TOL * frobenius(a):
         raise NotHermitianError(
             f"matrix is not Hermitian: ||A - A*||_F = {defect:.3e}"
         )
@@ -202,7 +209,7 @@ def psd_spectrum(a: np.ndarray) -> PsdSpectrum:
     eig = hermitian_eig(a)
     vals = eig.eigenvalues.copy()
     lam_max = max(float(vals[0]), 0.0)
-    floor = -PSD_CLAMP_TOL * max(lam_max, 1e-300)
+    floor = -PSD_CLAMP_TOL * lam_max
     if vals[-1] < floor:
         raise NotPSDError(
             f"matrix has negative eigenvalue {vals[-1]:.3e} "
@@ -249,6 +256,13 @@ def _require_pd(spectrum: PsdSpectrum, rank_tol: float, name: str) -> PsdSpectru
     return spectrum
 
 
+def _half_powers(spectrum: PsdSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """a^{1/2} and a^{-1/2} of a positive definite matrix from its spectrum."""
+    v = spectrum.eigenvectors
+    root = np.sqrt(spectrum.eigenvalues)
+    return (v * root) @ v.conj().T, (v * (1.0 / root)) @ v.conj().T
+
+
 def geometric_mean(
     a: np.ndarray, b: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
 ) -> np.ndarray:
@@ -260,9 +274,6 @@ def geometric_mean(
     """
     spectrum_a = _require_pd(psd_spectrum(a), rank_tol, "first")
     _require_pd(psd_spectrum(b), rank_tol, "second")
-    v = spectrum_a.eigenvectors
-    root = np.sqrt(spectrum_a.eigenvalues)
-    a_half = (v * root) @ v.conj().T
-    a_ihalf = (v * (1.0 / root)) @ v.conj().T
+    a_half, a_ihalf = _half_powers(spectrum_a)
     middle = psd_sqrt(hermitian_part(a_ihalf @ b @ a_ihalf))
     return hermitian_part(a_half @ middle @ a_half)

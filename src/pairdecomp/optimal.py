@@ -25,7 +25,7 @@ from .exceptions import (
     UnequalSupportsError,
 )
 from .fidelity import FidelityProfile, fidelity_spectrum
-from .states import Decomposition, StateOperator, spectral_decomposition
+from .states import Decomposition, StateOperator, pad_to_length, spectral_decomposition
 
 #: congruences with a larger condition number are treated as singular
 CONDITION_LIMIT = 1e12
@@ -94,10 +94,7 @@ def solve_gauge(
         raise DimensionMismatchError(f"operator dims differ: {rho.dim} vs {omega.dim}")
     spectrum_w = matcore._require_pd(omega.spectrum, rank_tol, "omega")
     matcore._require_pd(rho.spectrum, rank_tol, "rho")
-    v = spectrum_w.eigenvectors
-    root = np.sqrt(spectrum_w.eigenvalues)
-    w_half = (v * root) @ v.conj().T
-    w_ihalf = (v * (1.0 / root)) @ v.conj().T
+    w_half, w_ihalf = matcore._half_powers(spectrum_w)
     inner = matcore.psd_sqrt(matcore.hermitian_part(w_half @ rho.matrix @ w_half))
     squared = matcore.hermitian_part(w_ihalf @ inner @ w_ihalf)
     x = matcore.psd_sqrt(squared)
@@ -145,13 +142,11 @@ def support_reduction(
     omega <- P omega P (P the support of the current rho) until the
     supports agree; a step is recorded only when it actually changes the
     operator.  The alternation ends after finitely many steps, or raises
-    ``BothZeroError`` when it annihilates both operators (orthogonally
-    supported input).
+    ``BothZeroError`` when both operators are or become zero (zero or
+    orthogonally supported input).
     """
     if rho.dim != omega.dim:
         raise DimensionMismatchError(f"operator dims differ: {rho.dim} vs {omega.dim}")
-    if rho.is_zero() and omega.is_zero():
-        raise BothZeroError("both operators are zero")
     cur_r, cur_w = rho, omega
     steps: list[ReductionStep] = []
     rho_turn = True
@@ -180,7 +175,7 @@ def support_reduction(
 
 def _unchanged(before: StateOperator, after: StateOperator) -> bool:
     gap = matcore.frobenius(after.matrix - before.matrix)
-    return gap <= SUPPORT_MATCH_TOL * max(1.0, matcore.frobenius(before.matrix))
+    return gap <= SUPPORT_MATCH_TOL * matcore.frobenius(before.matrix)
 
 
 def _lift_through_projection(
@@ -215,13 +210,6 @@ def _lift_through_projection(
         z = top
     w = z @ vh.conj()
     return w @ a.T
-
-
-def _pad_rows(vectors: np.ndarray, length: int) -> np.ndarray:
-    if vectors.shape[0] >= length:
-        return vectors
-    extra = np.zeros((length - vectors.shape[0], vectors.shape[1]), dtype=np.complex128)
-    return np.vstack([vectors, extra])
 
 
 def optimal_pair_general(
@@ -259,11 +247,8 @@ def optimal_pair_general(
                 phi_rows, step.operator_before, step.projector, rank_tol
             )
     length = max(psi_rows.shape[0], phi_rows.shape[0], dim)
-    psi_rows = _pad_rows(psi_rows, length)
-    phi_rows = _pad_rows(phi_rows, length)
-    values = np.zeros(length)
-    values[: core.values.size] = core.values
-    return OptimalPair(Decomposition(psi_rows), Decomposition(phi_rows), values)
+    psi, phi = (pad_to_length(Decomposition(rows), length) for rows in (psi_rows, phi_rows))
+    return OptimalPair(psi, phi, np.pad(core.values, (0, length - core.values.size)))
 
 
 def gauge_on_common_support(

@@ -117,18 +117,24 @@ def reconstruct(decomposition: Decomposition) -> StateOperator:
     return StateOperator(matcore.hermitian_part(v.T @ v.conj()))
 
 
+def reconstruction_error(decomposition: Decomposition, target: StateOperator) -> float:
+    """Relative Frobenius error of the reconstruction; 0 when it is exact."""
+    if decomposition.dim != target.dim:
+        raise DimensionMismatchError(
+            f"decomposition dim {decomposition.dim} != operator dim {target.dim}"
+        )
+    err = matcore.frobenius(reconstruct(decomposition).matrix - target.matrix)
+    scale = matcore.frobenius(target.matrix)
+    return err / scale if scale else (np.inf if err else 0.0)
+
+
 def is_decomposition_of(
     decomposition: Decomposition,
     target: StateOperator,
     tol: float = DEFAULT_MATCH_TOL,
 ) -> bool:
     """True iff the vectors reconstruct ``target`` to relative Frobenius tolerance."""
-    if decomposition.dim != target.dim:
-        raise DimensionMismatchError(
-            f"decomposition dim {decomposition.dim} != operator dim {target.dim}"
-        )
-    err = matcore.frobenius(reconstruct(decomposition).matrix - target.matrix)
-    return err <= tol * max(1.0, matcore.frobenius(target.matrix))
+    return reconstruction_error(decomposition, target) <= tol
 
 
 def spectral_decomposition(

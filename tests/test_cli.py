@@ -163,6 +163,17 @@ def test_verify_passes_and_exits_0(pair_files, capsys):
     assert abs(results["best_value"] - results["upper_bound"]) <= 1e-8
 
 
+@pytest.mark.parametrize("scale", [1e8, 1e12])
+def test_verify_attains_correct_pairs_at_large_scale(tmp_path, capsys, scale):
+    rng = np.random.default_rng(100)
+    for trial in range(10):
+        rho = write_matrix(tmp_path / "rho.json", scale * random_state(rng, 3).matrix)
+        omega = write_matrix(tmp_path / "omega.json", scale * random_state(rng, 3).matrix)
+        code, out, _ = run_cli(capsys, "verify", rho, omega, "--samples", "5")
+        results = json.loads(out)["results"]
+        assert (code, results["violation"], results["attained"]) == (0, False, True), trial
+
+
 def test_verify_self_pair_full_size(tmp_path, capsys):
     path = write_matrix(tmp_path / "tau.json", np.diag([0.6, 0.4]))
     code, out, _ = run_cli(capsys, "verify", path, path, "--m", "2", "--samples", "20")

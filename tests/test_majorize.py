@@ -131,6 +131,16 @@ def test_nielsen_rejects_unmajorized():
     assert info.value.violated_prefix == 1
 
 
+def test_nielsen_weights_are_compared_with_a_small_trace():
+    tau = diag_state(0.6e-12, 0.4e-12)
+    with pytest.raises(NotMajorizedError) as info:
+        nielsen_decomposition(tau, [1e-11, 1e-11])  # total 10x the trace
+    assert info.value.violated_prefix == 1
+    deco = nielsen_decomposition(tau, [0.5e-12, 0.5e-12])
+    np.testing.assert_allclose(deco.norms_squared, [0.5e-12, 0.5e-12], rtol=1e-9)
+    assert is_decomposition_of(deco, tau)
+
+
 # ---------------------------------------------------------------- pairing gap
 
 def test_gap_zero_for_identical_spectral_decompositions():

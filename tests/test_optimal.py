@@ -281,6 +281,29 @@ def test_general_random_singular_pairs(seed):
     assert np.max(np.abs(gram - target)) <= 1e-8
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_general_pair_lifts_at_small_scale(seed):
+    # rank 2 against rank 3: the reduction projects, so the lift must run
+    rng = np.random.default_rng(80 + seed)
+    rho = StateOperator.from_matrix(1e-12 * random_state(rng, 5, rank=2).matrix)
+    omega = StateOperator.from_matrix(1e-12 * random_state(rng, 5, rank=3).matrix)
+    pair = optimal_pair_general(rho, omega)
+    for deco, target in ((pair.psi, rho), (pair.phi, omega)):
+        rec = deco.vectors.T @ deco.vectors.conj()
+        assert frobenius(rec - target.matrix) <= 1e-9 * frobenius(target.matrix)
+        assert is_decomposition_of(deco, target)
+
+
+def test_general_pair_values_at_tiny_scale():
+    rng = np.random.default_rng(90)
+    rho = StateOperator.from_matrix(1e-30 * random_state(rng, 4, rank=2).matrix)
+    omega = StateOperator.from_matrix(1e-30 * random_state(rng, 4, rank=3).matrix)
+    sigma = fidelity_spectrum(rho, omega).sigma
+    assert sigma[0] > 0.0
+    values = optimal_pair_general(rho, omega).values
+    np.testing.assert_allclose(values[: sigma.size], sigma, rtol=0.0, atol=1e-12 * sigma[0])
+
+
 # ---------------------------------------------------------------- transforms
 
 def test_transform_pair_identity_and_unitary():

@@ -55,6 +55,14 @@ def test_matching_agrees_with_exhaustive_enumeration(seed, m):
     assert abs(max_weight_matching_value(weights, m) - brute_force_matching(weights, m)) <= 1e-12
 
 
+def test_matching_agrees_with_exhaustive_enumeration_at_tiny_scale():
+    rng = np.random.default_rng(20)
+    for _ in range(50):
+        weights = rng.uniform(0.0, 1.0, size=(4, 4))
+        exact = brute_force_matching(weights, 3)
+        assert abs(max_weight_matching_value(1e-20 * weights, 3) / 1e-20 - exact) <= 1e-12
+
+
 def test_matching_rectangular():
     rng = np.random.default_rng(2)
     weights = rng.uniform(0.0, 1.0, size=(3, 5))

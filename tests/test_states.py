@@ -13,8 +13,10 @@ from pairdecomp import (
     is_decomposition_of,
     overlap_values,
     pad_to_length,
+    NotHermitianError,
     random_decomposition,
     reconstruct,
+    reconstruction_error,
     spectral_decomposition,
 )
 
@@ -170,3 +172,24 @@ def test_state_operator_validation():
     with pytest.raises(Exception):
         StateOperator.from_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
     assert StateOperator.from_matrix(np.zeros((2, 2), dtype=complex)).is_zero()
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e-12, 1.0, 1e12])
+def test_hermiticity_verdict_does_not_depend_on_scale(scale):
+    # 20% anti-Hermitian at every scale; an absolute floor accepted it below 1
+    skewed = scale * np.array([[1.0, 0.5], [0.4, 1.0]], dtype=complex)
+    with pytest.raises(NotHermitianError):
+        StateOperator.from_matrix(skewed)
+    hermitian = scale * np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
+    assert StateOperator.from_matrix(hermitian).dim == 2
+
+
+def test_zero_vectors_do_not_decompose_a_small_operator():
+    tau = StateOperator.from_matrix(1e-12 * np.diag([0.6, 0.4]).astype(complex))
+    zeros = Decomposition(np.zeros((2, 2), dtype=complex))
+    assert reconstruction_error(zeros, tau) == 1.0
+    assert not is_decomposition_of(zeros, tau)
+    assert is_decomposition_of(spectral_decomposition(tau), tau)
+    zero = StateOperator.from_matrix(np.zeros((2, 2), dtype=complex))
+    assert reconstruction_error(zeros, zero) == 0.0
+    assert not is_decomposition_of(spectral_decomposition(tau), zero)
