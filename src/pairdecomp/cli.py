@@ -204,6 +204,10 @@ def cmd_decompose(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    if args.m is not None and args.m < 0:
+        raise MatrixFileError(f"m must be nonnegative, got {args.m}")
+    if args.samples < 1:
+        raise MatrixFileError(f"samples must be at least 1, got {args.samples}")
     rho, omega, inputs = _load_pair(args)
     dim = rho.dim
     m = args.m if args.m is not None else dim

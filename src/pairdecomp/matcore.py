@@ -56,8 +56,8 @@ def frobenius(a: np.ndarray) -> float:
 
 def require_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotHermitianError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise NotHermitianError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NotHermitianError("matrix has non-finite (NaN or Inf) entries")
     return a

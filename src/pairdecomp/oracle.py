@@ -3,9 +3,9 @@
 Random decomposition pairs, scored by the best size-m pairing of their
 cross overlaps, can never beat the partial fidelity; the constructive
 optimum is injected as sample 0 so that attainment is asserted rather
-than hoped for.  Pairings are maximized exactly by an augmenting-path
-assignment solver, because greedily picking the m largest overlaps can
-under-report.
+than hoped for.  Pairings are maximized exactly by successive shortest
+augmenting paths, each found by Dijkstra on Hungarian reduced costs,
+because greedily picking the m largest overlaps can under-report.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .states import (
     random_decomposition,
 )
 
-#: slack against the exact optimum, relative to sqrt(tr rho * tr omega)
+#: tolerance against the exact optimum, relative to sqrt(tr rho * tr omega)
 SEARCH_TOL = 1e-8
 
 
@@ -45,61 +45,54 @@ class SearchReport:
 def max_weight_matching_value(weights: np.ndarray, m: int) -> float:
     """Maximum total weight over injective pairings of at most m row/column pairs.
 
-    Successive shortest augmenting paths on the residual graph; after
-    each augmentation the matching is optimal for its cardinality, so
-    stopping after m rounds solves the cardinality-constrained problem
-    exactly.  Weights must be nonnegative.
+    Successive shortest augmenting paths (Edmonds & Karp, J. ACM 19, 1972),
+    each found by Dijkstra from all free rows at once on the Hungarian
+    reduced costs -w[r, c] - u[r] - v[c] >= 0 (Jonker & Volgenant,
+    Computing 38, 1987).  After each augmentation the matching is optimal
+    for its cardinality, so stopping after m rounds solves the
+    cardinality-constrained problem exactly.  Weights must be nonnegative.
     """
     w = np.asarray(weights, dtype=float)
-    slack = 5 * np.finfo(float).eps * float(w.max(initial=0.0))  # a few ulps of max w
     n_rows, n_cols = w.shape
     if m > min(n_rows, n_cols):
         raise MTooLargeError(
             f"pairing size {m} exceeds min decomposition length {min(n_rows, n_cols)}"
         )
+    w = w.tolist()
+    # only v is stored: a matched row's u follows from its tight pair, and the
+    # free rows share one u, which offsets every distance alike
+    v = [0.0] * n_cols
     row_match = [-1] * n_rows
     col_match = [-1] * n_cols
-    total = 0.0
     for _ in range(m):
-        # Bellman-Ford over the residual graph, costs are negated weights
-        dist_row = [0.0 if row_match[r] == -1 else np.inf for r in range(n_rows)]
-        dist_col = [np.inf] * n_cols
-        parent_col = [-1] * n_cols
-        for _ in range(n_rows + n_cols):
-            improved = False
-            for r in range(n_rows):
-                dr = dist_row[r]
-                if dr == np.inf:
-                    continue
-                for c in range(n_cols):
-                    if col_match[c] == r:
-                        continue
-                    nd = dr - w[r, c]
-                    if nd < dist_col[c] - slack:
-                        dist_col[c] = nd
-                        parent_col[c] = r
-                        improved = True
-            for c in range(n_cols):
-                r = col_match[c]
-                if r != -1 and dist_col[c] != np.inf:
-                    nd = dist_col[c] + w[r, c]
-                    if nd < dist_row[r] - slack:
-                        dist_row[r] = nd
-                        improved = True
-            if not improved:
+        dist = [np.inf] * n_cols
+        parent = [-1] * n_cols
+        open_cols = list(range(n_cols))
+        labels = [(r, 0.0) for r in range(n_rows) if row_match[r] == -1]
+        while True:
+            for r, base in labels:
+                w_r = w[r]
+                for c in open_cols:
+                    d = base - w_r[c] - v[c]
+                    if d < dist[c]:
+                        dist[c] = d
+                        parent[c] = r
+            col = min(open_cols, key=dist.__getitem__)
+            open_cols.remove(col)
+            r = col_match[col]
+            if r == -1:
                 break
-        free_cols = [c for c in range(n_cols) if col_match[c] == -1]
-        best_col = min(free_cols, key=lambda c: dist_col[c])
-        total -= dist_col[best_col]
+            labels = [(r, dist[col] + w[r][col] + v[col])]
+        # v += min(dist, dist at the path's end): reduced costs stay >= 0, path tight
+        v = [v_c + min(d - dist[col], 0.0) for v_c, d in zip(v, dist)]
         # walk the alternating path back to a free row
-        c = best_col
-        while c != -1:
-            r = parent_col[c]
+        while col != -1:
+            r = parent[col]
             previous = row_match[r]
-            row_match[r] = c
-            col_match[c] = r
-            c = previous
-    return total
+            row_match[r] = col
+            col_match[col] = r
+            col = previous
+    return float(sum(w[r][c] for r, c in enumerate(row_match) if c != -1))
 
 
 def matching_value(psi: Decomposition, phi: Decomposition, m: int) -> float:
@@ -143,13 +136,13 @@ def random_search(
         if value > best_value:
             best_value = value
             best_seed = seed + index
-    slack = SEARCH_TOL * np.sqrt(rho.trace * omega.trace)
+    tol = SEARCH_TOL * np.sqrt(rho.trace * omega.trace)
     return SearchReport(
         m=m,
         samples=samples,
         best_value=float(best_value),
         best_seed=int(best_seed),
         upper_bound=float(upper),
-        violation=bool(best_value > upper + slack),
-        attained=bool(best_value >= upper - slack),
+        violation=bool(best_value > upper + tol),
+        attained=bool(best_value >= upper - tol),
     )

@@ -9,7 +9,7 @@ operator.  Order matters: downstream objectives pair vectors by index.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,13 @@ class StateOperator:
     """Positive semidefinite operator on a d-dimensional complex space."""
 
     matrix: np.ndarray
-    dim: int = field(default=0)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dim", m.shape[0])
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=np.complex128))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     @classmethod
     def from_matrix(cls, matrix) -> "StateOperator":
@@ -56,9 +57,6 @@ class StateOperator:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def is_zero(self, tol: float = 1e-14) -> bool:
-        return matcore.frobenius(self.matrix) <= tol
 
     def scaled(self, factor: float) -> "StateOperator":
         return StateOperator(self.matrix * factor)
@@ -83,8 +81,6 @@ class Decomposition:
     """Ordered list of vectors, stored as rows of an (n, dim) array."""
 
     vectors: np.ndarray
-    dim: int = field(default=0)
-    length: int = field(default=0)
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.complex128)
@@ -93,8 +89,14 @@ class Decomposition:
                 f"decomposition vectors must form a 2-d array, got shape {v.shape}"
             )
         object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "dim", v.shape[1])
-        object.__setattr__(self, "length", v.shape[0])
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def length(self) -> int:
+        return self.vectors.shape[0]
 
     @classmethod
     def from_vectors(cls, vectors, dim: int | None = None) -> "Decomposition":

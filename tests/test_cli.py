@@ -192,6 +192,14 @@ def test_verify_orthogonal_pure_states(tmp_path, capsys):
     assert abs(results["upper_bound"]) <= 1e-12
 
 
+@pytest.mark.parametrize("flag, value", [("--m", "-1"), ("--samples", "0")])
+def test_verify_rejects_out_of_range_flags_with_exit_2(pair_files, capsys, flag, value):
+    code, out, err = run_cli(capsys, "verify", *pair_files, flag, value)
+    assert code == 2
+    assert out == ""
+    assert flag.lstrip("-") in err
+
+
 # ---------------------------------------------------------------- nielsen
 
 def test_nielsen_spectrum_weights(tmp_path, capsys):

@@ -10,6 +10,7 @@ from pairdecomp import (
     NotHermitianError,
     NotPSDError,
     SingularOperatorError,
+    StateOperator,
     geometric_mean,
     hermitian_eig,
     pinv_sqrt,
@@ -97,6 +98,14 @@ def test_non_finite_entries_are_rejected(bad):
         require_square(a)
     with pytest.raises(NotHermitianError):
         hermitian_eig(a)
+
+
+def test_empty_matrix_is_rejected():
+    # a 0 x 0 operator has no lambda_max or norm to scale a check by
+    with pytest.raises(NotHermitianError, match="nonempty"):
+        require_square(np.zeros((0, 0)))
+    with pytest.raises(NotHermitianError):
+        StateOperator.from_matrix(np.zeros((0, 0)))
 
 
 def test_eig_sweep_budget():

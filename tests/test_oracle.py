@@ -63,6 +63,28 @@ def test_matching_agrees_with_exhaustive_enumeration_at_tiny_scale():
         assert abs(max_weight_matching_value(1e-20 * weights, 3) / 1e-20 - exact) <= 1e-12
 
 
+def edge_case_weights(draws):
+    """Tall and wide shapes up to 5 x 6: uniform, tied (halves) and zero-line weights."""
+    rng = np.random.default_rng(21)
+    for shape in [(1, 1), (1, 6), (6, 1), (2, 5), (5, 2), (3, 4), (4, 3), (5, 5), (5, 6), (6, 5)]:
+        for _ in range(draws):
+            uniform = rng.uniform(0.0, 1.0, size=shape)
+            halves = np.round(2.0 * uniform) / 2.0
+            zero_lines = uniform.copy()
+            zero_lines[0, :] = 0.0
+            zero_lines[:, -1] = 0.0
+            yield from (uniform, halves, zero_lines)
+
+
+def test_matching_agrees_with_exhaustive_enumeration_on_edge_cases():
+    for weights in edge_case_weights(draws=12):
+        for m in range(min(weights.shape) + 1):
+            exact = brute_force_matching(weights, m)
+            for scale in (1e-20, 1.0, 1e20):
+                value = max_weight_matching_value(scale * weights, m)
+                assert abs(value / scale - exact) <= 1e-12, (scale, m, weights)
+
+
 def test_matching_rectangular():
     rng = np.random.default_rng(2)
     weights = rng.uniform(0.0, 1.0, size=(3, 5))

@@ -171,7 +171,19 @@ def test_partial_sum_equality_for_spectral_decomposition():
 def test_state_operator_validation():
     with pytest.raises(Exception):
         StateOperator.from_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
-    assert StateOperator.from_matrix(np.zeros((2, 2), dtype=complex)).is_zero()
+    assert StateOperator.from_matrix(np.zeros((2, 2), dtype=complex)).spectrum.rank() == 0
+
+
+def test_shape_fields_are_read_only_properties():
+    assert StateOperator(np.eye(3)).dim == 3
+    deco = Decomposition(np.ones((4, 3)))
+    assert (deco.length, deco.dim) == (4, 3)
+    with pytest.raises(TypeError):
+        StateOperator(np.eye(2), dim=7)
+    with pytest.raises(TypeError):
+        Decomposition(np.eye(2), dim=7)
+    with pytest.raises(TypeError):
+        Decomposition(np.eye(2), length=3)
 
 
 @pytest.mark.parametrize("scale", [1e-30, 1e-12, 1.0, 1e12])
