@@ -31,7 +31,7 @@ from .exceptions import (
 )
 from .fidelity import fidelity_spectrum, partial_fidelity_plus
 from .majorize import first_majorization_violation, nielsen_decomposition
-from .matcore import DEFAULT_RANK_TOL
+from .matcore import RANK_TOL
 from .optimal import (
     extrapolate_to_zero,
     gauge_on_common_support,
@@ -81,9 +81,12 @@ def load_matrix_file(path: str) -> tuple[np.ndarray, dict]:
         raise MatrixFileError(f"{path}: 'entries' must hold dim*dim [re, im] pairs")
     values = []
     for item in entries:
-        if not isinstance(item, list) or len(item) != 2:
-            raise MatrixFileError(f"{path}: each entry must be a [re, im] pair")
-        values.append(complex(float(item[0]), float(item[1])))
+        if not (isinstance(item, list) and len(item) == 2 and all(map(_is_number, item))):
+            raise MatrixFileError(f"{path}: each entry must be a [re, im] pair of numbers")
+        try:
+            values.append(complex(float(item[0]), float(item[1])))
+        except OverflowError as exc:
+            raise MatrixFileError(f"{path}: entry {item} is out of float range") from exc
     matrix = np.array(values, dtype=np.complex128).reshape(dim, dim)
     digest = {
         "file": os.path.basename(path),
@@ -92,6 +95,11 @@ def load_matrix_file(path: str) -> tuple[np.ndarray, dict]:
     if isinstance(payload.get("label"), str):
         digest["label"] = payload["label"]
     return matrix, digest
+
+
+def _is_number(value) -> bool:
+    """True for a JSON number; JSON booleans load as ``bool``, a subclass of ``int``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_state(path: str) -> tuple[StateOperator, dict]:
@@ -116,7 +124,7 @@ def floats(values) -> list:
 
 
 def build_report(command: str, inputs: dict, results: dict, args) -> dict:
-    tolerances = {"rank_tol": float(args.rank_tol), "tol": float(args.tol)}
+    tolerances = {"rank_tol": RANK_TOL, "tol": DEFAULT_MATCH_TOL}
     if getattr(args, "seed", None) is not None:
         tolerances["seed"] = int(args.seed)
     return {
@@ -163,7 +171,7 @@ def cmd_spectrum(args) -> tuple[dict, int]:
 
 def cmd_decompose(args) -> tuple[dict, int]:
     rho, omega, inputs = _load_pair(args)
-    pair = optimal_pair_general(rho, omega, args.rank_tol)
+    pair = optimal_pair_general(rho, omega)
     profile = fidelity_spectrum(rho, omega)
 
     gram = pair.psi.vectors.conj() @ pair.phi.vectors.T
@@ -179,7 +187,7 @@ def cmd_decompose(args) -> tuple[dict, int]:
                       "delta": achieved - bound})
 
     try:
-        gauge = gauge_on_common_support(rho, omega, args.rank_tol)
+        gauge = gauge_on_common_support(rho, omega)
         gauge_payload = {
             "X": matrix_payload(gauge.X),
             "tau": matrix_payload(gauge.tau.matrix),
@@ -203,11 +211,19 @@ def cmd_decompose(args) -> tuple[dict, int]:
     return build_report("decompose", inputs, results, args), EXIT_OK
 
 
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise MatrixFileError(f"seed must be nonnegative, got {seed}")
+
+
 def cmd_verify(args) -> tuple[dict, int]:
     if args.m is not None and args.m < 0:
         raise MatrixFileError(f"m must be nonnegative, got {args.m}")
     if args.samples < 1:
         raise MatrixFileError(f"samples must be at least 1, got {args.samples}")
+    if args.lengths and min(args.lengths) < 0:
+        raise MatrixFileError(f"lengths must be nonnegative, got {args.lengths}")
+    _require_seed(args.seed)
     rho, omega, inputs = _load_pair(args)
     dim = rho.dim
     m = args.m if args.m is not None else dim
@@ -230,14 +246,14 @@ def cmd_verify(args) -> tuple[dict, int]:
 def cmd_nielsen(args) -> tuple[dict, int]:
     tau, digest = load_state(args.tau)
     weights = np.asarray(args.weights, dtype=float)
-    deco = nielsen_decomposition(tau, weights, args.rank_tol)
+    deco = nielsen_decomposition(tau, weights)
     norms = deco.norms_squared
     results = {
         "weights": floats(weights),
         "vectors": [vector_payload(v) for v in deco.vectors],
         "norms_squared": floats(norms),
         "norm_errors": floats(np.abs(norms - weights)),
-        "reconstruction_ok": bool(is_decomposition_of(deco, tau, args.tol)),
+        "reconstruction_ok": bool(is_decomposition_of(deco, tau)),
     }
     return build_report("nielsen", {"tau": digest}, results, args), EXIT_OK
 
@@ -247,6 +263,7 @@ def cmd_concavity_search(args) -> tuple[dict, int]:
         raise MatrixFileError(f"dim must be at least 2, got {args.dim}")
     if not 1 <= args.m <= args.dim:
         raise MatrixFileError(f"m must be in 1..{args.dim}, got {args.m}")
+    _require_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     mix_weights = (0.25, 0.5, 0.75)
     worst_concavity = None
@@ -289,7 +306,7 @@ def cmd_regularize(args) -> tuple[dict, int]:
     dim = rho.dim
 
     try:
-        trace = support_reduction(rho, omega, args.rank_tol)
+        trace = support_reduction(rho, omega)
         exact_profile = fidelity_spectrum(trace.final_rho, trace.final_omega)
         exact = [exact_profile.partial(m) for m in range(dim + 1)]
         reduction_steps = len(trace.steps)
@@ -299,7 +316,7 @@ def cmd_regularize(args) -> tuple[dict, int]:
 
     rows = []
     for c in c_list:
-        profile = regularized_profile(rho, omega, c, args.rank_tol)
+        profile = regularized_profile(rho, omega, c)
         values = [profile.partial(m) for m in range(dim + 1)]
         deviation = max(abs(v - e) for v, e in zip(values, exact))
         rows.append({"c": c, "partial_plus": values, "max_deviation": deviation})
@@ -326,10 +343,6 @@ def cmd_regularize(args) -> tuple[dict, int]:
 
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rank-tol", dest="rank_tol", type=float, default=DEFAULT_RANK_TOL,
-                        help="relative eigenvalue threshold for supports")
-    common.add_argument("--tol", type=float, default=DEFAULT_MATCH_TOL,
-                        help="relative comparison tolerance")
     common.add_argument("--seed", type=int, default=0, help="random seed")
 
     parser = argparse.ArgumentParser(

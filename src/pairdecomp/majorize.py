@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
 from .exceptions import (
     NegativeEntryError,
     NotADecompositionError,
@@ -89,9 +88,7 @@ def majorizes(spectrum, weights, tol: float = MAJORIZE_TOL) -> bool:
     return first_majorization_violation(spectrum, weights, tol) is None
 
 
-def nielsen_decomposition(
-    tau: StateOperator, weights, rank_tol: float = matcore.DEFAULT_RANK_TOL
-) -> Decomposition:
+def nielsen_decomposition(tau: StateOperator, weights) -> Decomposition:
     """Decomposition of tau whose vector norms squared equal ``weights``.
 
     Requires the weights to be majorized by the spectrum of tau.  The
@@ -113,7 +110,7 @@ def nielsen_decomposition(
     order = np.argsort(-p, kind="stable")
     target = p[order]
 
-    spectral = spectral_decomposition(tau, rank_tol)
+    spectral = spectral_decomposition(tau)
     vectors = pad_to_length(spectral, max(n, spectral.length)).vectors[:n].copy()
     current = np.pad(lam, (0, max(0, n - lam.size)))[:n].copy()
 
@@ -188,7 +185,6 @@ def certify_equality(
     tau: StateOperator,
     m: int,
     tol: float = 1e-8,
-    rank_tol: float = matcore.DEFAULT_RANK_TOL,
 ) -> EqualityCertificate:
     """Certify the equality case of the pairing bound for the leading m vectors.
 
@@ -201,7 +197,7 @@ def certify_equality(
     """
     gap = pairing_gap(first, second, tau, m, max(tol, DEFAULT_MATCH_TOL))
     lam = tau.spectrum.eigenvalues
-    rank = tau.spectrum.rank(rank_tol)
+    rank = tau.spectrum.rank()
     scale = float(lam[0])
     upto = min(m, first.length, second.length)
 

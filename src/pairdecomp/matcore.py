@@ -29,7 +29,7 @@ from .exceptions import (
 )
 
 #: relative threshold separating "numerically zero" eigenvalues from the support
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10
 
 #: relative tolerance for accepting a matrix as Hermitian
 HERMITICITY_TOL = 1e-10
@@ -100,27 +100,26 @@ class PsdSpectrum(HermitianEig):
     """Spectral data of a PSD matrix, eigenvalues clamped to be nonnegative.
 
     ``rank`` counts the eigenvalues above ``rank_tol * lambda_max``; the
-    zero operator has rank 0.
+    zero operator has rank 0.  Every support decision uses the default
+    ``RANK_TOL``; ``rank_tol = 0`` keeps every eigenvalue above the noise
+    floor.
     """
 
-    def rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+    def rank(self, rank_tol: float = RANK_TOL) -> int:
         vals = self.eigenvalues
         lam_max = float(vals[0]) if vals.size else 0.0
         return int(np.sum(vals > rank_tol * lam_max)) if lam_max > 0.0 else 0
 
-    def basis(self, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    def basis(self, rank_tol: float = RANK_TOL) -> np.ndarray:
         """Orthonormal basis of the support, as columns."""
         return self.eigenvectors[:, : self.rank(rank_tol)]
 
-    def factor(self, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-        """Factor A (d x rank), scaled support eigenvectors: A A* = matrix.
-
-        ``rank_tol = 0`` keeps every eigenvalue above the noise floor.
-        """
+    def factor(self, rank_tol: float = RANK_TOL) -> np.ndarray:
+        """Factor A (d x rank), scaled support eigenvectors: A A* = matrix."""
         r = self.rank(rank_tol)
         return self.eigenvectors[:, :r] * np.sqrt(self.eigenvalues[:r])
 
-    def support(self, rank_tol: float = DEFAULT_RANK_TOL) -> RankInfo:
+    def support(self, rank_tol: float = RANK_TOL) -> RankInfo:
         v = self.basis(rank_tol)
         projection = hermitian_part(v @ v.conj().T)
         null = np.eye(v.shape[0], dtype=np.complex128) - projection
@@ -229,29 +228,29 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     return hermitian_part(spectrum.factor(0.0) @ spectrum.basis(0.0).conj().T)
 
 
-def support_info(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> RankInfo:
+def support_info(a: np.ndarray) -> RankInfo:
     """Numerical rank and support/null projections of a PSD matrix.
 
-    The rank counts eigenvalues above ``rank_tol * lambda_max``; the zero
+    The rank counts eigenvalues above ``RANK_TOL * lambda_max``; the zero
     operator has rank 0 and a zero support projection.
     """
-    return psd_spectrum(a).support(rank_tol)
+    return psd_spectrum(a).support()
 
 
-def pinv_sqrt(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pinv_sqrt(a: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root: R with R a R = support projection of a."""
     spectrum = psd_spectrum(a)
-    v = spectrum.basis(rank_tol)
+    v = spectrum.basis()
     inv = 1.0 / np.sqrt(spectrum.eigenvalues[: v.shape[1]])
     return hermitian_part((v * inv) @ v.conj().T)
 
 
-def _require_pd(spectrum: PsdSpectrum, rank_tol: float, name: str) -> PsdSpectrum:
+def _require_pd(spectrum: PsdSpectrum, name: str) -> PsdSpectrum:
     """Return ``spectrum`` if it has full rank, else raise ``SingularOperatorError``."""
-    if spectrum.rank(rank_tol) < spectrum.eigenvalues.size:
+    if spectrum.rank() < spectrum.eigenvalues.size:
         raise SingularOperatorError(
             f"{name} operand is not strictly positive definite "
-            f"(min/max eigenvalue ratio below rank_tol={rank_tol:.1e})"
+            f"(min/max eigenvalue ratio below RANK_TOL={RANK_TOL:.1e})"
         )
     return spectrum
 
@@ -263,17 +262,15 @@ def _half_powers(spectrum: PsdSpectrum) -> tuple[np.ndarray, np.ndarray]:
     return (v * root) @ v.conj().T, (v * (1.0 / root)) @ v.conj().T
 
 
-def geometric_mean(
-    a: np.ndarray, b: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
-) -> np.ndarray:
+def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Operator geometric mean of two positive definite matrices.
 
     Returns the unique positive definite G solving G a^{-1} G = b,
     computed as a^{1/2} (a^{-1/2} b a^{-1/2})^{1/2} a^{1/2}.  The mean is
     symmetric in its operands; both must be strictly positive definite.
     """
-    spectrum_a = _require_pd(psd_spectrum(a), rank_tol, "first")
-    _require_pd(psd_spectrum(b), rank_tol, "second")
+    spectrum_a = _require_pd(psd_spectrum(a), "first")
+    _require_pd(psd_spectrum(b), "second")
     a_half, a_ihalf = _half_powers(spectrum_a)
     middle = psd_sqrt(hermitian_part(a_ihalf @ b @ a_ihalf))
     return hermitian_part(a_half @ middle @ a_half)

@@ -81,9 +81,7 @@ class SupportReductionTrace:
     final_omega: StateOperator
 
 
-def solve_gauge(
-    rho: StateOperator, omega: StateOperator, rank_tol: float = matcore.DEFAULT_RANK_TOL
-) -> GaugePair:
+def solve_gauge(rho: StateOperator, omega: StateOperator) -> GaugePair:
     """Gauge a strictly positive pair to a common operator.
 
     X squared is omega^{-1/2} (omega^{1/2} rho omega^{1/2})^{1/2}
@@ -92,8 +90,8 @@ def solve_gauge(
     """
     if rho.dim != omega.dim:
         raise DimensionMismatchError(f"operator dims differ: {rho.dim} vs {omega.dim}")
-    spectrum_w = matcore._require_pd(omega.spectrum, rank_tol, "omega")
-    matcore._require_pd(rho.spectrum, rank_tol, "rho")
+    spectrum_w = matcore._require_pd(omega.spectrum, "omega")
+    matcore._require_pd(rho.spectrum, "rho")
     w_half, w_ihalf = matcore._half_powers(spectrum_w)
     inner = matcore.psd_sqrt(matcore.hermitian_part(w_half @ rho.matrix @ w_half))
     squared = matcore.hermitian_part(w_ihalf @ inner @ w_ihalf)
@@ -102,9 +100,7 @@ def solve_gauge(
     return GaugePair(x, tau, rho.dim)
 
 
-def optimal_pair(
-    rho: StateOperator, omega: StateOperator, rank_tol: float = matcore.DEFAULT_RANK_TOL
-) -> OptimalPair:
+def optimal_pair(rho: StateOperator, omega: StateOperator) -> OptimalPair:
     """Optimal simultaneous decompositions for a pair with equal supports.
 
     Works on the common support subspace, so the operators may be rank
@@ -113,15 +109,15 @@ def optimal_pair(
     """
     if rho.dim != omega.dim:
         raise DimensionMismatchError(f"operator dims differ: {rho.dim} vs {omega.dim}")
-    info_r = rho.spectrum.support(rank_tol)
-    info_w = omega.spectrum.support(rank_tol)
+    info_r = rho.spectrum.support()
+    info_w = omega.spectrum.support()
     if not _same_support(info_r, info_w):
         raise UnequalSupportsError(
             f"supports differ (ranks {info_r.rank} vs {info_w.rank}); "
             "use optimal_pair_general"
         )
-    a = rho.spectrum.factor(rank_tol)
-    b = omega.spectrum.factor(rank_tol)
+    a = rho.spectrum.factor()
+    b = omega.spectrum.factor()
     u, values, vh = np.linalg.svd(a.conj().T @ b)
     return OptimalPair(
         Decomposition((a @ u).T), Decomposition((b @ vh.conj().T).T), values
@@ -133,9 +129,7 @@ def _same_support(info_r: matcore.RankInfo, info_w: matcore.RankInfo) -> bool:
     return info_r.rank == info_w.rank and gap <= SUPPORT_MATCH_TOL
 
 
-def support_reduction(
-    rho: StateOperator, omega: StateOperator, rank_tol: float = matcore.DEFAULT_RANK_TOL
-) -> SupportReductionTrace:
+def support_reduction(rho: StateOperator, omega: StateOperator) -> SupportReductionTrace:
     """Shrink a pair of PSD operators to equal supports by alternating projections.
 
     Alternates rho <- Q rho Q (Q the support of the current omega) and
@@ -151,8 +145,8 @@ def support_reduction(
     steps: list[ReductionStep] = []
     rho_turn = True
     for _ in range(2 * rho.dim + 4):
-        info_r = cur_r.spectrum.support(rank_tol)
-        info_w = cur_w.spectrum.support(rank_tol)
+        info_r = cur_r.spectrum.support()
+        info_w = cur_w.spectrum.support()
         if info_r.rank == 0 and info_w.rank == 0:
             raise BothZeroError("support reduction annihilated both operators")
         if _same_support(info_r, info_w):
@@ -161,13 +155,13 @@ def support_reduction(
             q = info_w.support_projection
             new_r = StateOperator(matcore.hermitian_part(q @ cur_r.matrix @ q))
             if not _unchanged(cur_r, new_r):
-                steps.append(ReductionStep("rho", q, new_r.spectrum.rank(rank_tol), cur_r))
+                steps.append(ReductionStep("rho", q, new_r.spectrum.rank(), cur_r))
             cur_r = new_r
         else:
             p = info_r.support_projection
             new_w = StateOperator(matcore.hermitian_part(p @ cur_w.matrix @ p))
             if not _unchanged(cur_w, new_w):
-                steps.append(ReductionStep("omega", p, new_w.spectrum.rank(rank_tol), cur_w))
+                steps.append(ReductionStep("omega", p, new_w.spectrum.rank(), cur_w))
             cur_w = new_w
         rho_turn = not rho_turn
     raise RuntimeError("support reduction failed to terminate")  # unreachable
@@ -179,10 +173,7 @@ def _unchanged(before: StateOperator, after: StateOperator) -> bool:
 
 
 def _lift_through_projection(
-    vectors: np.ndarray,
-    target: StateOperator,
-    projector: np.ndarray,
-    rank_tol: float,
+    vectors: np.ndarray, target: StateOperator, projector: np.ndarray
 ) -> np.ndarray:
     """Extend a decomposition of Q target Q to one of target itself.
 
@@ -194,11 +185,11 @@ def _lift_through_projection(
     are read off an SVD of Q A and the free components are completed to
     an isometry, which may require appending rows.
     """
-    a = target.spectrum.factor(rank_tol)  # (dim, r)
+    a = target.spectrum.factor()  # (dim, r)
     r = a.shape[1]
     b = projector @ a
     u, s, vh = np.linalg.svd(b, full_matrices=False)
-    k = int(np.sum(s > np.sqrt(rank_tol) * s[0])) if s.size and s[0] > 0.0 else 0
+    k = int(np.sum(s > np.sqrt(matcore.RANK_TOL) * s[0])) if s.size and s[0] > 0.0 else 0
     n = vectors.shape[0]
     forced = (vectors @ u[:, :k].conj()) / s[:k]  # rows: forced components of z_j
     free = r - k
@@ -212,9 +203,7 @@ def _lift_through_projection(
     return w @ a.T
 
 
-def optimal_pair_general(
-    rho: StateOperator, omega: StateOperator, rank_tol: float = matcore.DEFAULT_RANK_TOL
-) -> OptimalPair:
+def optimal_pair_general(rho: StateOperator, omega: StateOperator) -> OptimalPair:
     """Optimal simultaneous decompositions for arbitrary PSD pairs.
 
     Reduces the pair to a common support, solves there, then lifts the
@@ -228,32 +217,26 @@ def optimal_pair_general(
         raise DimensionMismatchError(f"operator dims differ: {rho.dim} vs {omega.dim}")
     dim = rho.dim
     try:
-        trace = support_reduction(rho, omega, rank_tol)
+        trace = support_reduction(rho, omega)
     except BothZeroError:
-        psi = spectral_decomposition(rho, rank_tol)
-        phi = spectral_decomposition(omega, rank_tol)
+        psi = spectral_decomposition(rho)
+        phi = spectral_decomposition(omega)
         return OptimalPair(psi, phi, np.zeros(dim))
 
-    core = optimal_pair(trace.final_rho, trace.final_omega, rank_tol)
+    core = optimal_pair(trace.final_rho, trace.final_omega)
     psi_rows = core.psi.vectors
     phi_rows = core.phi.vectors
     for step in reversed(trace.steps):
         if step.side == "rho":
-            psi_rows = _lift_through_projection(
-                psi_rows, step.operator_before, step.projector, rank_tol
-            )
+            psi_rows = _lift_through_projection(psi_rows, step.operator_before, step.projector)
         else:
-            phi_rows = _lift_through_projection(
-                phi_rows, step.operator_before, step.projector, rank_tol
-            )
+            phi_rows = _lift_through_projection(phi_rows, step.operator_before, step.projector)
     length = max(psi_rows.shape[0], phi_rows.shape[0], dim)
     psi, phi = (pad_to_length(Decomposition(rows), length) for rows in (psi_rows, phi_rows))
     return OptimalPair(psi, phi, np.pad(core.values, (0, length - core.values.size)))
 
 
-def gauge_on_common_support(
-    rho: StateOperator, omega: StateOperator, rank_tol: float = matcore.DEFAULT_RANK_TOL
-) -> GaugePair:
+def gauge_on_common_support(rho: StateOperator, omega: StateOperator) -> GaugePair:
     """Gauge of the support-reduced pair, embedded back into the full space.
 
     The returned X acts as the reduced gauge on the common support and as
@@ -262,15 +245,15 @@ def gauge_on_common_support(
     ``solve_gauge`` on that support.  Raises ``BothZeroError`` for
     orthogonally supported pairs.
     """
-    trace = support_reduction(rho, omega, rank_tol)
-    basis = trace.final_rho.spectrum.basis(rank_tol)
+    trace = support_reduction(rho, omega)
+    basis = trace.final_rho.spectrum.basis()
     rho_s = StateOperator(
         matcore.hermitian_part(basis.conj().T @ trace.final_rho.matrix @ basis)
     )
     omega_s = StateOperator(
         matcore.hermitian_part(basis.conj().T @ trace.final_omega.matrix @ basis)
     )
-    reduced = solve_gauge(rho_s, omega_s, rank_tol)
+    reduced = solve_gauge(rho_s, omega_s)
     projection = basis @ basis.conj().T
     complement = np.eye(rho.dim, dtype=np.complex128) - projection
     x_full = basis @ reduced.X @ basis.conj().T + complement
@@ -325,12 +308,7 @@ def transform_decompositions(
     return new_psi, new_phi
 
 
-def regularized_profile(
-    rho: StateOperator,
-    omega: StateOperator,
-    c: float,
-    rank_tol: float = matcore.DEFAULT_RANK_TOL,
-) -> FidelityProfile:
+def regularized_profile(rho: StateOperator, omega: StateOperator, c: float) -> FidelityProfile:
     """Fidelity spectrum of (rho + c P0, omega + c Q0) with null projections P0, Q0.
 
     As c decreases to zero the profile approaches the profile of the
@@ -346,8 +324,8 @@ def regularized_profile(
     """
     if not c > 0.0:
         raise ValueError(f"regularization constant must be positive, got {c}")
-    p0 = rho.spectrum.support(rank_tol).null_projection
-    q0 = omega.spectrum.support(rank_tol).null_projection
+    p0 = rho.spectrum.support().null_projection
+    q0 = omega.spectrum.support().null_projection
     reg_rho = StateOperator(rho.matrix + c * p0)
     reg_omega = StateOperator(omega.matrix + c * q0)
     return fidelity_spectrum(reg_rho, reg_omega)

@@ -139,15 +139,13 @@ def is_decomposition_of(
     return reconstruction_error(decomposition, target) <= tol
 
 
-def spectral_decomposition(
-    tau: StateOperator, rank_tol: float = matcore.DEFAULT_RANK_TOL
-) -> Decomposition:
+def spectral_decomposition(tau: StateOperator) -> Decomposition:
     """Eigenvector decomposition: vector j is sqrt(lambda_j) times eigenvector j.
 
     Eigenvalues come out decreasing, so the vector norms do too; vectors
     for numerically zero eigenvalues are exact zeros.
     """
-    factor = tau.spectrum.factor(rank_tol)
+    factor = tau.spectrum.factor()
     return pad_to_length(Decomposition(factor.T), tau.dim)
 
 

@@ -58,6 +58,20 @@ def test_wrong_entry_count_exits_2(tmp_path, capsys):
     assert "entries" in err
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [["a", 0], [None, 0], [True, 0], [0, [1]], [10**400, 0]],
+    ids=["string", "null", "bool", "nested", "overflow"],
+)
+def test_non_numeric_entry_exits_2(tmp_path, capsys, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 1, "entries": [entry]}))
+    code, out, err = run_cli(capsys, "spectrum", str(bad), str(bad))
+    assert code == 2
+    assert out == ""
+    assert "entr" in err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "spectrum", str(tmp_path / "nope.json"), str(tmp_path / "nope.json"))
     assert code == 2
@@ -192,9 +206,12 @@ def test_verify_orthogonal_pure_states(tmp_path, capsys):
     assert abs(results["upper_bound"]) <= 1e-12
 
 
-@pytest.mark.parametrize("flag, value", [("--m", "-1"), ("--samples", "0")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--m", "-1"), ("--samples", "0"), ("--lengths", "-1 3 --m 0"), ("--seed", "-5")],
+)
 def test_verify_rejects_out_of_range_flags_with_exit_2(pair_files, capsys, flag, value):
-    code, out, err = run_cli(capsys, "verify", *pair_files, flag, value)
+    code, out, err = run_cli(capsys, "verify", *pair_files, flag, *value.split())
     assert code == 2
     assert out == ""
     assert flag.lstrip("-") in err
@@ -261,6 +278,15 @@ def test_concavity_search_rejects_bad_dims(capsys):
     assert code == 2
 
 
+def test_concavity_search_rejects_negative_seed(capsys):
+    code, out, err = run_cli(
+        capsys, "concavity-search", "--dim", "3", "--m", "2", "--seed", "-5"
+    )
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
+
+
 # ---------------------------------------------------------------- regularize
 
 def test_regularize_pd_rows_identical(pair_files, capsys):
@@ -309,3 +335,21 @@ def test_reports_are_byte_identical(pair_files, capsys):
     assert runs[0][1] == runs[1][1]
     spectra = [run_cli(capsys, "spectrum", *pair_files) for _ in range(2)]
     assert spectra[0][1] == spectra[1][1]
+
+
+# ---------------------------------------------------------------- fixed tolerances
+
+def test_report_tolerances_are_the_library_constants(pair_files, capsys):
+    code, out, _ = run_cli(capsys, "decompose", *pair_files)
+    assert code == 0
+    assert json.loads(out)["tolerances"] == {"rank_tol": 1e-10, "seed": 0, "tol": 1e-9}
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("decompose", "--rank-tol 1e-2"), ("nielsen", "--tol 1e-3")]
+)
+def test_tolerance_flags_are_rejected(pair_files, capsys, command, flag):
+    operands = pair_files if command == "decompose" else (pair_files[0], "--weights", "1")
+    with pytest.raises(SystemExit) as exc:
+        main([command, *operands, *flag.split()])
+    assert exc.value.code == 2

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from pairdecomp import (
     psd_sqrt,
     support_info,
 )
+import pairdecomp
 from pairdecomp.matcore import require_square
 
 
@@ -269,3 +272,16 @@ def test_geometric_mean_symmetry(dim):
 def test_geometric_mean_rejects_singular():
     with pytest.raises(SingularOperatorError):
         geometric_mean(np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex))
+
+
+def test_no_public_callable_takes_a_rank_tol():
+    """The rank threshold is the constant RANK_TOL, not a per-call knob."""
+    public = [getattr(pairdecomp, name) for name in pairdecomp.__all__]
+    takes = [
+        obj.__name__
+        for obj in public
+        if callable(obj)
+        and not (isinstance(obj, type) and issubclass(obj, Exception))
+        and "rank_tol" in inspect.signature(obj).parameters
+    ]
+    assert takes == []

@@ -214,7 +214,7 @@ def test_lift_reconstructs_and_projects(seed):
     if frobenius(compressed.matrix) <= 1e-12:
         pytest.skip("projection annihilated the operator")
     chi = random_decomposition(compressed, max(qrank, rank), seed=seed).vectors
-    lifted = _lift_through_projection(chi, target, projector, 1e-10)
+    lifted = _lift_through_projection(chi, target, projector)
     rec = lifted.T @ lifted.conj()
     assert np.linalg.norm(rec - target.matrix) <= 1e-8 * max(1.0, frobenius(target.matrix))
     projected = lifted @ projector.T

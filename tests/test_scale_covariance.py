@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_state
 from pairdecomp import (
+    RANK_TOL,
     NotHermitianError,
     StateOperator,
     fidelity_spectrum,
@@ -20,6 +21,7 @@ from pairdecomp import (
 )
 
 SKEWED = np.array([[1.0, 0.5], [0.4, 1.0]], dtype=complex)
+MIXER = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
 log_uniform = st.floats(-30.0, 30.0).map(lambda e: 10.0**e)
 
 
@@ -57,3 +59,15 @@ def test_rescaling_the_pair_changes_no_verdict(case):
     for scale in (s, t):
         with pytest.raises(NotHermitianError):
             StateOperator.from_matrix(scale * SKEWED)
+
+
+@pytest.mark.parametrize("s", [1e-30, 1.0, 1e30])
+@pytest.mark.parametrize("t", [0.1, 0.5, 2.0, 10.0])
+def test_rank_decision_near_the_threshold(s, t):
+    """An eigenvalue t * RANK_TOL * lambda_max is support iff t > 1, at any scale s."""
+    rho = StateOperator.from_matrix(s * MIXER @ np.diag([1.0, t * RANK_TOL]) @ MIXER.conj().T)
+    assert rho.spectrum.rank() == (1 if t < 1.0 else 2)
+    omega = StateOperator.from_matrix(np.eye(2, dtype=complex) / 2.0)
+    pair = optimal_pair_general(rho, omega)
+    assert is_decomposition_of(pair.psi, rho)
+    assert is_decomposition_of(pair.phi, omega)
