@@ -75,19 +75,23 @@ def load_matrix_file(path: str) -> tuple[np.ndarray, dict]:
         raise MatrixFileError(f"{path} must be an object with 'dim' and 'entries'")
     dim = payload["dim"]
     entries = payload["entries"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise MatrixFileError(f"{path}: 'dim' must be a positive integer")
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise MatrixFileError(f"{path}: 'entries' must hold dim*dim [re, im] pairs")
-    values = []
-    for item in entries:
-        if not (isinstance(item, list) and len(item) == 2 and all(map(_is_number, item))):
-            raise MatrixFileError(f"{path}: each entry must be a [re, im] pair of numbers")
-        try:
-            values.append(complex(float(item[0]), float(item[1])))
-        except OverflowError as exc:
-            raise MatrixFileError(f"{path}: entry {item} is out of float range") from exc
-    matrix = np.array(values, dtype=np.complex128).reshape(dim, dim)
+    # JSON numbers load as int or float; a JSON boolean loads as bool, not int
+    if not all(
+        type(item) is list and len(item) == 2
+        and type(item[0]) in (int, float) and type(item[1]) in (int, float)
+        for item in entries
+    ):
+        raise MatrixFileError(f"{path}: each entry must be a [re, im] pair of numbers")
+    try:
+        # [re, im] float pairs are complex128 in memory: no arithmetic touches a bit
+        pairs = np.array(entries, dtype=np.float64)
+    except OverflowError as exc:
+        raise MatrixFileError(f"{path}: an entry is out of float range") from exc
+    matrix = pairs.view(np.complex128).reshape(dim, dim)
     digest = {
         "file": os.path.basename(path),
         "sha256": hashlib.sha256(raw).hexdigest(),
@@ -95,11 +99,6 @@ def load_matrix_file(path: str) -> tuple[np.ndarray, dict]:
     if isinstance(payload.get("label"), str):
         digest["label"] = payload["label"]
     return matrix, digest
-
-
-def _is_number(value) -> bool:
-    """True for a JSON number; JSON booleans load as ``bool``, a subclass of ``int``."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_state(path: str) -> tuple[StateOperator, dict]:

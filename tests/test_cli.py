@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_state
 from pairdecomp import Decomposition, StateOperator, is_decomposition_of
-from pairdecomp.cli import main
+from pairdecomp.cli import load_matrix_file, main
 
 
 def write_matrix(path, matrix, label=None):
@@ -70,6 +70,31 @@ def test_non_numeric_entry_exits_2(tmp_path, capsys, entry):
     assert code == 2
     assert out == ""
     assert "entr" in err
+
+
+def test_boolean_dim_exits_2(tmp_path, capsys):
+    # a JSON boolean loads as bool, a subclass of int
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": True, "entries": [[1.0, 0.0]]}))
+    code, out, err = run_cli(capsys, "spectrum", str(bad), str(bad))
+    assert code == 2
+    assert out == ""
+    assert "dim" in err
+
+
+def test_loaded_entries_keep_their_bits(tmp_path):
+    # signed zeros, integers beyond 2**53, the smallest subnormal and plain ints
+    pairs = [
+        [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0],
+        [2**53 + 1, -(2**53 + 1)], [2**64 + 3, 1], [5e-324, -5e-324],
+        [1, 0], [-7, 3], [0.1, 2**63],
+    ]
+    path = tmp_path / "bits.json"
+    path.write_text(json.dumps({"dim": 3, "entries": pairs}))
+    matrix, _ = load_matrix_file(str(path))
+    expected = np.array([complex(float(re), float(im)) for re, im in pairs]).reshape(3, 3)
+    assert matrix.dtype == np.complex128
+    assert matrix.tobytes() == expected.tobytes()
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -20,7 +20,7 @@ from pairdecomp import (
     support_info,
 )
 import pairdecomp
-from pairdecomp.matcore import require_square
+from pairdecomp.matcore import _round_robin_step, require_square
 
 
 def characteristic_roots(a):
@@ -121,6 +121,96 @@ def test_eig_sweep_budget():
 def test_eig_zero_matrix():
     eig = hermitian_eig(np.zeros((3, 3), dtype=complex))
     np.testing.assert_array_equal(eig.eigenvalues, np.zeros(3))
+
+
+@pytest.mark.parametrize("m", range(2, 131, 2))
+def test_round_robin_schedule_meets_every_pair_once_per_sweep(m):
+    step = _round_robin_step(m)
+    assert not step.flags.writeable
+    order = np.arange(m)
+    met = set()
+    for _ in range(m - 1):
+        assert sorted(order) == list(range(m))
+        met.update(frozenset(pair) for pair in order.reshape(-1, 2).tolist())
+        order = order.take(step)
+    assert len(met) == m * (m - 1) // 2
+    np.testing.assert_array_equal(order, np.arange(m))
+
+
+def assert_eig_invariants(a, eig):
+    n = a.shape[0]
+    v = eig.eigenvectors
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
+    rec = (v * eig.eigenvalues) @ v.conj().T
+    assert np.linalg.norm(rec - a) <= 1e-12 * np.linalg.norm(a)
+    assert np.all(np.diff(eig.eigenvalues) <= 0.0)
+    reference = np.linalg.eigvalsh(a)[::-1]
+    lam_max = np.max(np.abs(reference))
+    assert np.max(np.abs(eig.eigenvalues - reference)) <= 1e-12 * lam_max
+
+
+@pytest.mark.parametrize("dim", [1, 7, 9, 31, 33, 64])
+def test_eig_matches_lapack_at_odd_and_large_orders(dim):
+    # odd orders run with one padded zero row and column
+    a = random_hermitian(np.random.default_rng(dim), dim)
+    assert_eig_invariants(a, hermitian_eig(a))
+
+
+def test_eig_keeps_exactly_zero_couplings_zero():
+    # no rotation may mix the two blocks, so the eigenvectors split exactly
+    rng = np.random.default_rng(21)
+    a = np.zeros((9, 9), dtype=complex)
+    a[:4, :4] = random_hermitian(rng, 4)
+    a[4:, 4:] = random_hermitian(rng, 5) + 10.0 * np.eye(5)
+    eig = hermitian_eig(a)
+    assert_eig_invariants(a, eig)
+    v = eig.eigenvectors
+    assert np.all(v[:4, :5] == 0.0) and np.all(v[4:, 5:] == 0.0)
+
+
+def test_eig_degenerate_spectrum():
+    rng = np.random.default_rng(22)
+    x = random_complex(rng, 7)
+    a = 2.0 * np.eye(7) + np.outer(x, x.conj())
+    eig = hermitian_eig(a)
+    assert_eig_invariants(a, eig)
+    expected = [2.0 + np.vdot(x, x).real] + [2.0] * 6
+    np.testing.assert_allclose(eig.eigenvalues, expected, rtol=1e-13)
+
+
+def test_eig_of_a_diagonal_is_exact():
+    diagonal = np.array([1.0, -2.0, 1.0, 0.0, 3.0])
+    eig = hermitian_eig(np.diag(diagonal).astype(complex))
+    np.testing.assert_array_equal(eig.eigenvalues, [3.0, 1.0, 1.0, 0.0, -2.0])
+    # equal eigenvalues keep their index order
+    np.testing.assert_array_equal(eig.eigenvectors, np.eye(5)[:, [4, 0, 2, 3, 1]])
+
+
+@pytest.mark.parametrize("app, aqq", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+def test_eig_zero_tau_rotation_ignores_the_sign_of_zero(app, aqq):
+    # tau = (aqq - app) / (2 |apq|) is zero: the tau >= 0 branch, t = +1, for either sign
+    def pivot(app, aqq):
+        return np.array([[app, 1.0 + 1.0j], [1.0 - 1.0j, aqq]])
+
+    eig = hermitian_eig(pivot(app, aqq))
+    assert_eig_invariants(pivot(app, aqq), eig)
+    np.testing.assert_allclose(eig.eigenvalues, [np.sqrt(2.0), -np.sqrt(2.0)], rtol=1e-14)
+    expected = [[np.sqrt(0.5), np.sqrt(0.5)], [(1.0 - 1.0j) / 2.0, (1.0j - 1.0) / 2.0]]
+    np.testing.assert_allclose(eig.eigenvectors, expected, atol=1e-15)
+    positive = hermitian_eig(pivot(0.0, 0.0))
+    assert eig.eigenvectors.tobytes() == positive.eigenvectors.tobytes()
+
+
+def test_eig_is_repeatable_across_orders():
+    # the cached schedule must carry no state from one call to the next
+    rng = np.random.default_rng(23)
+    a = random_hermitian(rng, 9)
+    first = hermitian_eig(a)
+    hermitian_eig(random_hermitian(rng, 10))
+    hermitian_eig(random_hermitian(rng, 6))
+    second = hermitian_eig(a)
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
