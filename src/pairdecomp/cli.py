@@ -107,11 +107,7 @@ def load_state(path: str) -> tuple[StateOperator, dict]:
 
 
 def matrix_payload(matrix: np.ndarray) -> dict:
-    flat = np.asarray(matrix, dtype=np.complex128).ravel()
-    return {
-        "dim": int(matrix.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    return {"dim": int(matrix.shape[0]), "entries": vector_payload(matrix)}
 
 
 def vector_payload(vector: np.ndarray) -> list:
@@ -262,6 +258,8 @@ def cmd_concavity_search(args) -> tuple[dict, int]:
         raise MatrixFileError(f"dim must be at least 2, got {args.dim}")
     if not 1 <= args.m <= args.dim:
         raise MatrixFileError(f"m must be in 1..{args.dim}, got {args.m}")
+    if args.trials < 1:
+        raise MatrixFileError(f"trials must be at least 1, got {args.trials}")
     _require_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     mix_weights = (0.25, 0.5, 0.75)
@@ -297,26 +295,21 @@ def cmd_concavity_search(args) -> tuple[dict, int]:
 
 def cmd_regularize(args) -> tuple[dict, int]:
     c_list = [float(c) for c in args.c]
-    if any(not c > 0.0 for c in c_list) or any(
+    if any(not 0.0 < c < np.inf for c in c_list) or any(
         later >= earlier for earlier, later in zip(c_list[:-1], c_list[1:])
     ):
-        raise MatrixFileError("--c values must be positive and strictly decreasing")
+        raise MatrixFileError("--c values must be positive, finite and strictly decreasing")
     rho, omega, inputs = _load_pair(args)
     dim = rho.dim
-
+    exact = floats(fidelity_spectrum(rho, omega).cumulative)
     try:
-        trace = support_reduction(rho, omega)
-        exact_profile = fidelity_spectrum(trace.final_rho, trace.final_omega)
-        exact = [exact_profile.partial(m) for m in range(dim + 1)]
-        reduction_steps = len(trace.steps)
+        reduction_steps = len(support_reduction(rho, omega).steps)
     except BothZeroError:
-        exact = [0.0] * (dim + 1)
         reduction_steps = None
 
     rows = []
     for c in c_list:
-        profile = regularized_profile(rho, omega, c)
-        values = [profile.partial(m) for m in range(dim + 1)]
+        values = floats(regularized_profile(rho, omega, c).cumulative)
         deviation = max(abs(v - e) for v, e in zip(values, exact))
         rows.append({"c": c, "partial_plus": values, "max_deviation": deviation})
 

@@ -59,11 +59,14 @@ def fidelity_spectrum(rho, omega) -> FidelityProfile:
     if r.dim != w.dim:
         raise DimensionMismatchError(f"operator dims differ: {r.dim} vs {w.dim}")
     # factor(0.0): only the noise floor, no rank truncation
-    cross = r.spectrum.factor(0.0).conj().T @ w.spectrum.factor(0.0)
-    values = np.linalg.svd(cross, compute_uv=False)
-    sigma = np.pad(values, (0, r.dim - values.size))
-    cumulative = np.concatenate([[0.0], np.cumsum(sigma)])
-    return FidelityProfile(sigma, cumulative)
+    return _profile(r.spectrum.factor(0.0), w.spectrum.factor(0.0))
+
+
+def _profile(a: np.ndarray, b: np.ndarray) -> FidelityProfile:
+    """Profile of the pair (A A*, B B*): the singular values of A* B, padded to d."""
+    values = np.linalg.svd(a.conj().T @ b, compute_uv=False)
+    sigma = np.pad(values, (0, a.shape[0] - values.size))
+    return FidelityProfile(sigma, np.concatenate([[0.0], np.cumsum(sigma)]))
 
 
 def partial_fidelity_plus(rho, omega, m: int) -> float:

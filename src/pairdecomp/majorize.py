@@ -18,6 +18,7 @@ from .exceptions import (
     NotADecompositionError,
     NotMajorizedError,
 )
+from .matcore import EIG_NOISE_FLOOR
 from .states import (
     DEFAULT_MATCH_TOL,
     Decomposition,
@@ -114,7 +115,7 @@ def nielsen_decomposition(tau: StateOperator, weights) -> Decomposition:
     vectors = pad_to_length(spectral, max(n, spectral.length)).vectors[:n].copy()
     current = np.pad(lam, (0, max(0, n - lam.size)))[:n].copy()
 
-    snap = 1e-14 * float(current.max(initial=0.0))
+    snap = EIG_NOISE_FLOOR * float(current.max(initial=0.0))
     for _ in range(2 * n + 2):
         excess = np.nonzero(current - target > snap)[0]
         if excess.size == 0:

@@ -121,8 +121,8 @@ class PsdSpectrum(HermitianEig):
         r = self.rank(rank_tol)
         return self.eigenvectors[:, :r] * np.sqrt(self.eigenvalues[:r])
 
-    def support(self, rank_tol: float = RANK_TOL) -> RankInfo:
-        v = self.basis(rank_tol)
+    def support(self) -> RankInfo:
+        v = self.basis()
         projection = hermitian_part(v @ v.conj().T)
         null = np.eye(v.shape[0], dtype=np.complex128) - projection
         return RankInfo(v.shape[1], projection, hermitian_part(null))

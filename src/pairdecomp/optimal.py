@@ -24,7 +24,7 @@ from .exceptions import (
     SingularOperatorError,
     UnequalSupportsError,
 )
-from .fidelity import FidelityProfile, fidelity_spectrum
+from .fidelity import FidelityProfile, _profile
 from .states import Decomposition, StateOperator, pad_to_length, spectral_decomposition
 
 #: congruences with a larger condition number are treated as singular
@@ -213,8 +213,6 @@ def optimal_pair_general(rho: StateOperator, omega: StateOperator) -> OptimalPai
     Orthogonally supported pairs yield all-zero values with the spectral
     decompositions of the inputs.
     """
-    if rho.dim != omega.dim:
-        raise DimensionMismatchError(f"operator dims differ: {rho.dim} vs {omega.dim}")
     dim = rho.dim
     try:
         trace = support_reduction(rho, omega)
@@ -313,22 +311,24 @@ def regularized_profile(rho: StateOperator, omega: StateOperator, c: float) -> F
 
     As c decreases to zero the profile approaches the profile of the
     original pair; for strictly positive pairs it is already identical.
-    With h = sqrt(c), P0 commutes with rho, so sqrt(rho + c P0) =
-    sqrt(rho) + h P0 and the profile is the singular values of
-    (sqrt(rho) + h P0)(sqrt(omega) + h Q0).  The path stays a small
-    perturbation of its limit for h below about the radius
-    r = sigma+_min / ||sqrt(rho) Q0 + P0 sqrt(omega)||_2, where sigma+_min is
-    the smallest nonzero value of the limit: by Weyl's inequality the values
-    that the regularization creates stay below sigma+_min there, to first
-    order in h.
+    With the cached spectrum rho = V L V* and P0 spanned by the eigenvectors
+    past the rank, rho + c P0 = A_c A_c* exactly for A_c = V (L + c E0)^{1/2},
+    E0 the 0/1 diagonal of those indices, so the profile is the singular
+    values of A_c* B_c and no eig runs.  When rho P0 = 0 as well, A_c A_c* =
+    (sqrt(rho) + h P0)^2 with h = sqrt(c); the path stays a small perturbation
+    of its limit for h below about the radius r = sigma+_min /
+    ||sqrt(rho) Q0 + P0 sqrt(omega)||_2, where sigma+_min is the smallest
+    nonzero value of the limit: by Weyl's inequality the values that the
+    regularization creates stay below sigma+_min there, to first order in h.
     """
-    if not c > 0.0:
-        raise ValueError(f"regularization constant must be positive, got {c}")
-    p0 = rho.spectrum.support().null_projection
-    q0 = omega.spectrum.support().null_projection
-    reg_rho = StateOperator(rho.matrix + c * p0)
-    reg_omega = StateOperator(omega.matrix + c * q0)
-    return fidelity_spectrum(reg_rho, reg_omega)
+    if not 0.0 < c < np.inf:
+        raise ValueError(f"regularization constant must be positive and finite, got {c}")
+    factors = []
+    for spectrum in (rho.spectrum, omega.spectrum):
+        vals = spectrum.eigenvalues.copy()
+        vals[spectrum.rank():] += c
+        factors.append(spectrum.eigenvectors * np.sqrt(vals))
+    return _profile(*factors)
 
 
 def extrapolate_to_zero(nodes, samples) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_state
-from pairdecomp import Decomposition, StateOperator, is_decomposition_of
+from pairdecomp import Decomposition, StateOperator, is_decomposition_of, matcore
 from pairdecomp.cli import load_matrix_file, main
 
 
@@ -278,14 +278,14 @@ def test_nielsen_nan_weight_exits_5(tmp_path, capsys):
 
 # ---------------------------------------------------------------- concavity search
 
-def test_concavity_search_zero_trials(capsys):
-    code, out, _ = run_cli(
-        capsys, "concavity-search", "--dim", "3", "--m", "1", "--trials", "0"
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_concavity_search_rejects_nonpositive_trials(capsys, trials):
+    code, out, err = run_cli(
+        capsys, "concavity-search", "--dim", "3", "--m", "1", "--trials", trials
     )
-    assert code == 0
-    results = json.loads(out)["results"]
-    assert results["concavity"] is None
-    assert results["convexity"] is None
+    assert code == 2
+    assert out == ""
+    assert "trials" in err
 
 
 def test_concavity_search_full_m_is_concave(capsys):
@@ -347,6 +347,44 @@ def test_regularize_rejects_nan_c(pair_files, capsys):
     assert code == 2
     assert out == ""
     assert "positive" in err
+
+
+def test_regularize_rejects_infinite_c(pair_files, capsys):
+    code, out, err = run_cli(capsys, "regularize", *pair_files, "--c", "inf")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_regularize_exact_is_the_spectrum(tmp_path, capsys):
+    # the eigenvalue 1e-12 lies below the rank threshold but above the noise floor
+    rho_path = write_matrix(tmp_path / "rho.json", np.diag([1.0, 1e-12]))
+    omega_path = write_matrix(tmp_path / "omega.json", np.eye(2) / 2)
+    _, out, _ = run_cli(capsys, "spectrum", rho_path, omega_path)
+    partial_plus = json.loads(out)["results"]["partial_plus"]
+    code, out, _ = run_cli(capsys, "regularize", rho_path, omega_path)
+    assert code == 0
+    assert json.loads(out)["results"]["exact"] == partial_plus
+
+
+def test_regularize_spectrum_count_does_not_grow_with_c(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_spectrum(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    original = matcore.psd_spectrum
+    monkeypatch.setattr(matcore, "psd_spectrum", counting_spectrum)
+    rho_path = write_matrix(tmp_path / "rho.json", np.diag([0.5, 0.5, 0.0]))
+    omega_path = write_matrix(tmp_path / "omega.json", np.diag([0.25, 0.0, 0.75]))
+    counts = []
+    for c_values in (["1e-2"], ["1e-2", "1e-3", "1e-4", "1e-5"]):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "regularize", rho_path, omega_path, "--c", *c_values)
+        assert code == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 # ---------------------------------------------------------------- determinism

@@ -414,6 +414,28 @@ def test_regularized_profile_rejects_nonpositive_c():
         regularized_profile(rho, rho, 0.0)
     with pytest.raises(ValueError):
         regularized_profile(rho, rho, float("nan"))
+    with pytest.raises(ValueError):
+        regularized_profile(rho, rho, float("inf"))
+
+
+def test_regularized_profile_matches_the_regularized_operators():
+    # reference: the profile of the operators rho + c P0 and omega + c Q0 themselves,
+    # each decomposed afresh
+    rng = np.random.default_rng(12)
+    for trial in range(12):
+        dim = 2 + trial % 5
+        rho = random_state(rng, dim, rank=int(rng.integers(1, dim)))
+        omega = random_state(rng, dim, rank=int(rng.integers(1, dim + 1)))
+        p0 = rho.spectrum.support().null_projection
+        q0 = omega.spectrum.support().null_projection
+        for c in (1e-2, 1e-4, 1e-6):
+            reference = fidelity_spectrum(
+                StateOperator(rho.matrix + c * p0), StateOperator(omega.matrix + c * q0)
+            )
+            np.testing.assert_allclose(
+                regularized_profile(rho, omega, c).cumulative, reference.cumulative,
+                rtol=0.0, atol=1e-12 * reference.fidelity,
+            )
 
 
 def test_extrapolate_to_zero_polynomial():
