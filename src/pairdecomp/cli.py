@@ -24,14 +24,13 @@ import numpy as np
 from . import __version__
 from .exceptions import (
     BothZeroError,
-    DimensionMismatchError,
     MatrixFileError,
     NotMajorizedError,
     PairDecompError,
 )
 from .fidelity import fidelity_spectrum, partial_fidelity_plus
 from .majorize import first_majorization_violation, nielsen_decomposition
-from .matcore import RANK_TOL
+from .matcore import DEFAULT_MATCH_TOL, RANK_TOL
 from .optimal import (
     extrapolate_to_zero,
     gauge_on_common_support,
@@ -41,7 +40,6 @@ from .optimal import (
 )
 from .oracle import random_search
 from .states import (
-    DEFAULT_MATCH_TOL,
     StateOperator,
     is_decomposition_of,
     mix,
@@ -145,12 +143,9 @@ def _profile_payload(profile) -> dict:
 
 
 def _load_pair(args) -> tuple[StateOperator, StateOperator, dict]:
+    """Both operators of a pair command; the command's first library call checks the dims."""
     rho, digest_rho = load_state(args.rho)
     omega, digest_omega = load_state(args.omega)
-    if rho.dim != omega.dim:
-        raise DimensionMismatchError(
-            f"operator dims differ: {rho.dim} vs {omega.dim}"
-        )
     return rho, omega, {"rho": digest_rho, "omega": digest_omega}
 
 
@@ -263,8 +258,7 @@ def cmd_concavity_search(args) -> tuple[dict, int]:
     _require_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     mix_weights = (0.25, 0.5, 0.75)
-    worst_concavity = None
-    worst_convexity = None
+    defects = []  # (trial, t, concavity defect, convexity defect)
     for trial in range(args.trials):
         rho1 = random_state_operator(args.dim, rng=rng)
         omega1 = random_state_operator(args.dim, rng=rng)
@@ -277,19 +271,13 @@ def cmd_concavity_search(args) -> tuple[dict, int]:
                 mix(rho1, rho2, t), mix(omega1, omega2, t), args.m
             )
             combo = t * f1 + (1.0 - t) * f2
-            concavity = mixed - combo
-            convexity = combo - mixed
-            if worst_concavity is None or concavity < worst_concavity["defect"]:
-                worst_concavity = {"defect": float(concavity), "trial": trial, "t": t}
-            if worst_convexity is None or convexity < worst_convexity["defect"]:
-                worst_convexity = {"defect": float(convexity), "trial": trial, "t": t}
-    results = {
-        "dim": int(args.dim),
-        "m": int(args.m),
-        "trials": int(args.trials),
-        "concavity": worst_concavity,
-        "convexity": worst_convexity,
-    }
+            # not -(mixed - combo): that is -0.0 when the two are equal
+            defects.append((trial, t, mixed - combo, combo - mixed))
+    results = {"dim": int(args.dim), "m": int(args.m), "trials": int(args.trials)}
+    for kind, column in (("concavity", 2), ("convexity", 3)):
+        # min keeps the first of equal defects
+        worst = min(defects, key=lambda row: row[column])
+        results[kind] = {"defect": float(worst[column]), "trial": worst[0], "t": worst[1]}
     return build_report("concavity-search", {}, results, args), EXIT_OK
 
 

@@ -58,8 +58,8 @@ def fidelity_spectrum(rho, omega) -> FidelityProfile:
     w = as_state(omega)
     if r.dim != w.dim:
         raise DimensionMismatchError(f"operator dims differ: {r.dim} vs {w.dim}")
-    # factor(0.0): only the noise floor, no rank truncation
-    return _profile(r.spectrum.factor(0.0), w.spectrum.factor(0.0))
+    # only the noise floor, no rank truncation
+    return _profile(r.spectrum.exact_factor(), w.spectrum.exact_factor())
 
 
 def _profile(a: np.ndarray, b: np.ndarray) -> FidelityProfile:

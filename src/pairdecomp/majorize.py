@@ -18,18 +18,14 @@ from .exceptions import (
     NotADecompositionError,
     NotMajorizedError,
 )
-from .matcore import EIG_NOISE_FLOOR
+from .matcore import CERTIFY_TOL, EIG_NOISE_FLOOR, MAJORIZE_TOL
 from .states import (
-    DEFAULT_MATCH_TOL,
     Decomposition,
     StateOperator,
     is_decomposition_of,
     pad_to_length,
     spectral_decomposition,
 )
-
-#: relative slack in majorization comparisons
-MAJORIZE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ def partial_sums(values) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(ordered)])
 
 
-def first_majorization_violation(spectrum, weights, tol: float = MAJORIZE_TOL):
+def first_majorization_violation(spectrum, weights):
     """First prefix length where the weights beat the spectrum, or None.
 
     Total-sum mismatch beyond tolerance reports the full length as the
@@ -77,16 +73,16 @@ def first_majorization_violation(spectrum, weights, tol: float = MAJORIZE_TOL):
     scale = float(sums_lam[-1])
     # written as "not <=" so that NaN counts as a violation
     for m in range(1, n + 1):
-        if not sums_p[m] <= sums_lam[m] + tol * scale:
+        if not sums_p[m] <= sums_lam[m] + MAJORIZE_TOL * scale:
             return m
-    if not abs(sums_p[-1] - sums_lam[-1]) <= tol * scale:
+    if not abs(sums_p[-1] - sums_lam[-1]) <= MAJORIZE_TOL * scale:
         return n
     return None
 
 
-def majorizes(spectrum, weights, tol: float = MAJORIZE_TOL) -> bool:
+def majorizes(spectrum, weights) -> bool:
     """True iff every sorted prefix of weights is dominated and totals agree."""
-    return first_majorization_violation(spectrum, weights, tol) is None
+    return first_majorization_violation(spectrum, weights) is None
 
 
 def nielsen_decomposition(tau: StateOperator, weights) -> Decomposition:
@@ -146,22 +142,16 @@ def nielsen_decomposition(tau: StateOperator, weights) -> Decomposition:
     return Decomposition(vectors[unsort])
 
 
-def _check_decompositions(
-    first: Decomposition, second: Decomposition, tau: StateOperator, tol: float
-):
+def _check_decompositions(first: Decomposition, second: Decomposition, tau: StateOperator):
     for label, deco in (("first", first), ("second", second)):
-        if not is_decomposition_of(deco, tau, tol):
+        if not is_decomposition_of(deco, tau):
             raise NotADecompositionError(
                 f"{label} vector list does not reconstruct the target operator"
             )
 
 
 def pairing_gap(
-    first: Decomposition,
-    second: Decomposition,
-    tau: StateOperator,
-    m: int,
-    tol: float = DEFAULT_MATCH_TOL,
+    first: Decomposition, second: Decomposition, tau: StateOperator, m: int
 ) -> float:
     """Top-m eigenvalue sum minus the index-paired overlap sum of two decompositions.
 
@@ -170,7 +160,7 @@ def pairing_gap(
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    _check_decompositions(first, second, tau, tol)
+    _check_decompositions(first, second, tau)
     lam = tau.spectrum.eigenvalues
     top = float(np.sum(lam[: min(m, lam.size)]))
     upto = min(m, first.length, second.length)
@@ -181,11 +171,7 @@ def pairing_gap(
 
 
 def certify_equality(
-    first: Decomposition,
-    second: Decomposition,
-    tau: StateOperator,
-    m: int,
-    tol: float = 1e-8,
+    first: Decomposition, second: Decomposition, tau: StateOperator, m: int
 ) -> EqualityCertificate:
     """Certify the equality case of the pairing bound for the leading m vectors.
 
@@ -194,9 +180,9 @@ def certify_equality(
     ``second`` to differ from ``first`` by unimodular phases only.  The
     phases are recovered as overlap / eigenvalue; indices with
     numerically zero eigenvalue are skipped (phase fixed to 1) since any
-    phase works there.
+    phase works there.  Every residual is held to ``CERTIFY_TOL``.
     """
-    gap = pairing_gap(first, second, tau, m, max(tol, DEFAULT_MATCH_TOL))
+    gap = pairing_gap(first, second, tau, m)
     lam = tau.spectrum.eigenvalues
     rank = tau.spectrum.rank()
     scale = float(lam[0])
@@ -204,13 +190,13 @@ def certify_equality(
 
     residuals = [abs(gap)]
     phases = np.ones(upto, dtype=np.complex128)
-    ok = gap <= tol * scale
+    ok = gap <= CERTIFY_TOL * scale
     for j in range(upto):
         chi = first.vectors[j]
         lam_j = float(lam[j]) if j < lam.size else 0.0
         eig_res = float(np.linalg.norm(tau.matrix @ chi - lam_j * chi))
         residuals.append(eig_res)
-        if eig_res > tol * scale:
+        if eig_res > CERTIFY_TOL * scale:
             ok = False
         if j < rank:
             overlap = complex(np.vdot(chi, second.vectors[j]))
@@ -219,7 +205,7 @@ def certify_equality(
             unit_res = abs(abs(eps) - 1.0)
             vec_res = float(np.linalg.norm(second.vectors[j] - eps * chi))
             residuals.extend([unit_res, vec_res])
-            if unit_res > tol or vec_res > tol * scale:
+            if unit_res > CERTIFY_TOL or vec_res > CERTIFY_TOL * scale:
                 ok = False
         else:
             # zero-weight vector: phase unrecoverable, only sizes must match

@@ -13,7 +13,8 @@ it is at most ``tol * scale``, with ``scale`` the operand's own size --
 the Frobenius norm of a matrix, the trace of a weight sum, lambda_max of
 a spectrum, sqrt(tr rho * tr omega) for a pairing sum (its Cauchy-Schwarz
 bound).  With no absolute floor, no verdict changes under rho -> s rho,
-and an exact zero compares equal only to an exact zero.
+and an exact zero compares equal only to an exact zero.  Each ``tol`` is
+a constant in the table below, and no function takes one as an argument.
 """
 
 from __future__ import annotations
@@ -30,21 +31,41 @@ from .exceptions import (
     SingularOperatorError,
 )
 
-#: relative threshold separating "numerically zero" eigenvalues from the support
+# Every threshold of the package, defined here only; each comment names the
+# scale that the value is relative to.
+#: rank: eigenvalues above RANK_TOL * lambda_max span the support
 RANK_TOL = 1e-10
-
-#: relative tolerance for accepting a matrix as Hermitian
+#: lift: singular values of Q A above LIFT_TOL * s_max; they are the square
+#: roots of the eigenvalues of Q rho Q, hence the square root of RANK_TOL
+LIFT_TOL = float(np.sqrt(RANK_TOL))
+#: Hermiticity: ||A - A*||_F relative to ||A||_F
 HERMITICITY_TOL = 1e-10
-
-#: eigenvalues in [-PSD_CLAMP_TOL * lambda_max, 0) are clamped to zero
+#: PSD check: eigenvalues in [-PSD_CLAMP_TOL * lambda_max, 0) are clamped to zero
 PSD_CLAMP_TOL = 1e-10
-
-#: eigenvalues below this (relative) are indistinguishable from zero and
-#: pinned exactly, so square roots do not amplify O(eps) noise to O(sqrt(eps))
+#: noise: eigenvalues below EIG_NOISE_FLOOR * lambda_max are set to exactly
+#: zero, so square roots do not amplify O(eps) noise to O(sqrt(eps))
 EIG_NOISE_FLOOR = 1e-14
-
+#: Jacobi convergence: off-diagonal Frobenius mass relative to ||A||_F
 _SWEEP_TOL = 1e-14
+#: Jacobi budget: whole sweeps, a count with no scale
 _MAX_SWEEPS = 60
+#: "is a decomposition of": reconstruction error relative to ||target||_F
+DEFAULT_MATCH_TOL = 1e-9
+#: majorization: prefix-sum slack relative to the spectrum's total, and a
+#: negative weight relative to the largest |weight|
+MAJORIZE_TOL = 1e-10
+#: equality certificate: pairing gap and residuals relative to lambda_max;
+#: the modulus of a recovered phase is absolute, a phase has unit scale
+CERTIFY_TOL = 1e-8
+#: random search: best value against the partial fidelity, relative to
+#: sqrt(tr rho * tr omega)
+SEARCH_TOL = 1e-8
+#: congruence: the condition number s_max / s_min, a ratio with no scale
+CONDITION_LIMIT = 1e12
+#: support match: absolute Frobenius gap between support projections, which
+#: have unit scale; relative to ||before||_F when a support-reduction step
+#: is tested for having changed nothing
+SUPPORT_MATCH_TOL = 1e-9
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -101,24 +122,30 @@ class RankInfo:
 class PsdSpectrum(HermitianEig):
     """Spectral data of a PSD matrix, eigenvalues clamped to be nonnegative.
 
-    ``rank`` counts the eigenvalues above ``rank_tol * lambda_max``; the
-    zero operator has rank 0.  Every support decision uses the default
-    ``RANK_TOL``; ``rank_tol = 0`` keeps every eigenvalue above the noise
-    floor.
+    ``rank`` counts the eigenvalues above ``RANK_TOL * lambda_max``; the
+    zero operator has rank 0.  Every support decision reads that rank.
+    There are two factors A with A A* = matrix: ``factor`` keeps the
+    support, and ``exact_factor`` keeps every eigenvalue above the noise
+    floor, which ``psd_spectrum`` has already set to exactly zero.
     """
 
-    def rank(self, rank_tol: float = RANK_TOL) -> int:
+    def rank(self) -> int:
         vals = self.eigenvalues
         lam_max = float(vals[0]) if vals.size else 0.0
-        return int(np.sum(vals > rank_tol * lam_max)) if lam_max > 0.0 else 0
+        return int(np.sum(vals > RANK_TOL * lam_max)) if lam_max > 0.0 else 0
 
-    def basis(self, rank_tol: float = RANK_TOL) -> np.ndarray:
+    def basis(self) -> np.ndarray:
         """Orthonormal basis of the support, as columns."""
-        return self.eigenvectors[:, : self.rank(rank_tol)]
+        return self.eigenvectors[:, : self.rank()]
 
-    def factor(self, rank_tol: float = RANK_TOL) -> np.ndarray:
+    def factor(self) -> np.ndarray:
         """Factor A (d x rank), scaled support eigenvectors: A A* = matrix."""
-        r = self.rank(rank_tol)
+        r = self.rank()
+        return self.eigenvectors[:, :r] * np.sqrt(self.eigenvalues[:r])
+
+    def exact_factor(self) -> np.ndarray:
+        """Factor over every nonzero eigenvalue, with no rank truncation."""
+        r = int(np.count_nonzero(self.eigenvalues))
         return self.eigenvectors[:, :r] * np.sqrt(self.eigenvalues[:r])
 
     def support(self) -> RankInfo:
@@ -128,7 +155,7 @@ class PsdSpectrum(HermitianEig):
         return RankInfo(v.shape[1], projection, hermitian_part(null))
 
 
-def hermitian_eig(matrix: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> HermitianEig:
+def hermitian_eig(matrix: np.ndarray) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix by parallel-order Jacobi.
 
     The matrix is padded to even order m with one decoupled zero row and
@@ -136,13 +163,13 @@ def hermitian_eig(matrix: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> Hermitia
     round-robin schedule (Brent & Luk, SIAM J. Sci. Stat. Comput. 6,
     1985); each round rotates m/2 disjoint pivot pairs at once, and over
     a sweep every pair of indices is a pivot exactly once.  Sweeps repeat
-    until the off-diagonal mass falls below 1e-14 relative to the
+    until the off-diagonal mass falls below ``_SWEEP_TOL`` relative to the
     Frobenius norm.  The fixed schedule makes the output reproducible
     bit for bit; ties between equal eigenvalues keep the solver's output
     order.
 
     Raises ``NotHermitianError`` for non-Hermitian or non-finite input and
-    ``NoConvergenceError`` if ``max_sweeps`` whole sweeps (of m - 1
+    ``NoConvergenceError`` if ``_MAX_SWEEPS`` whole sweeps (of m - 1
     rounds each) do not converge (quadratic convergence makes this
     unreachable in practice).
     """
@@ -164,7 +191,7 @@ def hermitian_eig(matrix: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> Hermitia
     # rotations below this cannot lift the off-diagonal mass above the target
     tiny = _SWEEP_TOL * scale / (n * n)
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off = frobenius(work - np.diag(np.diag(work)))
         if off <= _SWEEP_TOL * scale:
             converged = True
@@ -204,7 +231,7 @@ def hermitian_eig(matrix: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> Hermitia
         converged = off <= _SWEEP_TOL * scale
     if not converged:
         raise NoConvergenceError(
-            f"Jacobi sweeps exhausted ({max_sweeps}) without convergence"
+            f"Jacobi sweeps exhausted ({_MAX_SWEEPS}) without convergence"
         )
 
     # after whole sweeps the slots are back in index order
@@ -260,7 +287,8 @@ def psd_spectrum(a: np.ndarray) -> PsdSpectrum:
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Positive semidefinite square root of a PSD matrix."""
     spectrum = psd_spectrum(a)
-    return hermitian_part(spectrum.factor(0.0) @ spectrum.basis(0.0).conj().T)
+    root = spectrum.exact_factor()
+    return hermitian_part(root @ spectrum.eigenvectors[:, : root.shape[1]].conj().T)
 
 
 def support_info(a: np.ndarray) -> RankInfo:
@@ -297,6 +325,12 @@ def _half_powers(spectrum: PsdSpectrum) -> tuple[np.ndarray, np.ndarray]:
     return (v * root) @ v.conj().T, (v * (1.0 / root)) @ v.conj().T
 
 
+def _mean(a_half: np.ndarray, a_ihalf: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^{1/2} (a^{-1/2} b a^{-1/2})^{1/2} a^{1/2} from the half powers of a."""
+    middle = psd_sqrt(hermitian_part(a_ihalf @ b @ a_ihalf))
+    return hermitian_part(a_half @ middle @ a_half)
+
+
 def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Operator geometric mean of two positive definite matrices.
 
@@ -306,6 +340,4 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     spectrum_a = _require_pd(psd_spectrum(a), "first")
     _require_pd(psd_spectrum(b), "second")
-    a_half, a_ihalf = _half_powers(spectrum_a)
-    middle = psd_sqrt(hermitian_part(a_ihalf @ b @ a_ihalf))
-    return hermitian_part(a_half @ middle @ a_half)
+    return _mean(*_half_powers(spectrum_a), b)

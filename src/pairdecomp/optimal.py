@@ -25,13 +25,8 @@ from .exceptions import (
     UnequalSupportsError,
 )
 from .fidelity import FidelityProfile, _profile
+from .matcore import CONDITION_LIMIT, SUPPORT_MATCH_TOL
 from .states import Decomposition, StateOperator, pad_to_length, spectral_decomposition
-
-#: congruences with a larger condition number are treated as singular
-CONDITION_LIMIT = 1e12
-
-#: absolute Frobenius tolerance for comparing support projections
-SUPPORT_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,18 +79,17 @@ class SupportReductionTrace:
 def solve_gauge(rho: StateOperator, omega: StateOperator) -> GaugePair:
     """Gauge a strictly positive pair to a common operator.
 
-    X squared is omega^{-1/2} (omega^{1/2} rho omega^{1/2})^{1/2}
-    omega^{-1/2}; taking X as the PSD square root of that product makes X
-    Hermitian, so a single matrix serves as gauge and adjoint.
+    X squared is the geometric mean omega^{-1} # rho = omega^{-1/2}
+    (omega^{1/2} rho omega^{1/2})^{1/2} omega^{-1/2}; taking X as the PSD
+    square root of that product makes X Hermitian, so a single matrix
+    serves as gauge and adjoint.
     """
     if rho.dim != omega.dim:
         raise DimensionMismatchError(f"operator dims differ: {rho.dim} vs {omega.dim}")
     spectrum_w = matcore._require_pd(omega.spectrum, "omega")
     matcore._require_pd(rho.spectrum, "rho")
     w_half, w_ihalf = matcore._half_powers(spectrum_w)
-    inner = matcore.psd_sqrt(matcore.hermitian_part(w_half @ rho.matrix @ w_half))
-    squared = matcore.hermitian_part(w_ihalf @ inner @ w_ihalf)
-    x = matcore.psd_sqrt(squared)
+    x = matcore.psd_sqrt(matcore._mean(w_ihalf, w_half, rho.matrix))
     tau = StateOperator(matcore.hermitian_part(x @ omega.matrix @ x))
     return GaugePair(x, tau, rho.dim)
 
@@ -189,7 +183,7 @@ def _lift_through_projection(
     r = a.shape[1]
     b = projector @ a
     u, s, vh = np.linalg.svd(b, full_matrices=False)
-    k = int(np.sum(s > np.sqrt(matcore.RANK_TOL) * s[0])) if s.size and s[0] > 0.0 else 0
+    k = int(np.sum(s > matcore.LIFT_TOL * s[0])) if s.size and s[0] > 0.0 else 0
     n = vectors.shape[0]
     forced = (vectors @ u[:, :k].conj()) / s[:k]  # rows: forced components of z_j
     free = r - k

@@ -16,6 +16,7 @@ import numpy as np
 
 from .exceptions import MTooLargeError
 from .fidelity import partial_fidelity_plus
+from .matcore import SEARCH_TOL
 from .optimal import optimal_pair_general
 from .states import (
     Decomposition,
@@ -24,9 +25,6 @@ from .states import (
     pad_to_length,
     random_decomposition,
 )
-
-#: tolerance against the exact optimum, relative to sqrt(tr rho * tr omega)
-SEARCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)

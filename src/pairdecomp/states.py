@@ -19,9 +19,7 @@ from .exceptions import (
     LengthTooShortError,
     NotPSDError,
 )
-
-#: default relative Frobenius tolerance for decomposition comparisons
-DEFAULT_MATCH_TOL = 1e-9
+from .matcore import DEFAULT_MATCH_TOL
 
 
 @dataclass(frozen=True)
@@ -130,13 +128,9 @@ def reconstruction_error(decomposition: Decomposition, target: StateOperator) ->
     return err / scale if scale else (np.inf if err else 0.0)
 
 
-def is_decomposition_of(
-    decomposition: Decomposition,
-    target: StateOperator,
-    tol: float = DEFAULT_MATCH_TOL,
-) -> bool:
-    """True iff the vectors reconstruct ``target`` to relative Frobenius tolerance."""
-    return reconstruction_error(decomposition, target) <= tol
+def is_decomposition_of(decomposition: Decomposition, target: StateOperator) -> bool:
+    """True iff the vectors reconstruct ``target`` to ``DEFAULT_MATCH_TOL``."""
+    return reconstruction_error(decomposition, target) <= DEFAULT_MATCH_TOL
 
 
 def spectral_decomposition(tau: StateOperator) -> Decomposition:

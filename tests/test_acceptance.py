@@ -252,7 +252,7 @@ def test_criterion_07_prescribed_weights():
         rng.shuffle(weights)
         deco = nielsen_decomposition(tau, weights)
         worst_norm = max(worst_norm, float(np.max(np.abs(deco.norms_squared - weights))))
-        all_reconstruct = all_reconstruct and is_decomposition_of(deco, tau, 1e-9)
+        all_reconstruct = all_reconstruct and is_decomposition_of(deco, tau)
     passed = worst_norm <= 1e-9 and all_reconstruct
     report(7, f"prescribed-weight construction, worst norm error = {worst_norm:.2e}", passed)
 

@@ -116,11 +116,14 @@ def test_non_hermitian_exits_3(tmp_path, capsys):
     assert code == 3
 
 
-def test_dimension_mismatch_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["spectrum", "decompose", "verify", "regularize"])
+def test_dimension_mismatch_exits_3(tmp_path, capsys, command):
     a = write_matrix(tmp_path / "a.json", np.eye(2) / 2)
     b = write_matrix(tmp_path / "b.json", np.eye(3) / 3)
-    code, _, _ = run_cli(capsys, "spectrum", a, b)
+    code, out, err = run_cli(capsys, command, a, b)
     assert code == 3
+    assert out == ""
+    assert "operator dims differ: 2 vs 3" in err
 
 
 # ---------------------------------------------------------------- spectrum
@@ -169,8 +172,8 @@ def test_decompose_round_trip(tmp_path, capsys):
     results = json.loads(out)["results"]
     psi = vectors_from_payload(results["psi"])
     phi = vectors_from_payload(results["phi"])
-    assert is_decomposition_of(psi, rho, 1e-8)
-    assert is_decomposition_of(phi, omega, 1e-8)
+    assert is_decomposition_of(psi, rho)
+    assert is_decomposition_of(phi, omega)
     assert results["residuals"]["biorthogonality"] < 1e-8
     for row in results["partial_sums"]:
         assert abs(row["delta"]) < 1e-8

@@ -20,6 +20,7 @@ from pairdecomp import (
     support_info,
 )
 import pairdecomp
+from pairdecomp import matcore
 from pairdecomp.matcore import _round_robin_step, require_square
 
 
@@ -111,11 +112,12 @@ def test_empty_matrix_is_rejected():
         StateOperator.from_matrix(np.zeros((0, 0)))
 
 
-def test_eig_sweep_budget():
+def test_eig_sweep_budget(monkeypatch):
     rng = np.random.default_rng(9)
     a = random_hermitian(rng, 6)
+    monkeypatch.setattr(matcore, "_MAX_SWEEPS", 1)
     with pytest.raises(NoConvergenceError):
-        hermitian_eig(a, max_sweeps=1)
+        hermitian_eig(a)
 
 
 def test_eig_zero_matrix():
@@ -365,13 +367,23 @@ def test_geometric_mean_rejects_singular():
 
 
 def test_no_public_callable_takes_a_rank_tol():
-    """The rank threshold is the constant RANK_TOL, not a per-call knob."""
-    public = [getattr(pairdecomp, name) for name in pairdecomp.__all__]
+    """Every threshold is a constant in matcore, not a per-call knob."""
+    public = []
+    for name in pairdecomp.__all__:
+        obj = getattr(pairdecomp, name)
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        if isinstance(obj, type):
+            public += [
+                (f"{name}.{attr}", member)
+                for attr, member in inspect.getmembers(obj, callable)
+                if not attr.startswith("_")
+            ]
+        if callable(obj):
+            public.append((name, obj))
     takes = [
-        obj.__name__
-        for obj in public
-        if callable(obj)
-        and not (isinstance(obj, type) and issubclass(obj, Exception))
-        and "rank_tol" in inspect.signature(obj).parameters
+        name
+        for name, obj in public
+        if {"rank_tol", "tol", "max_sweeps"} & set(inspect.signature(obj).parameters)
     ]
     assert takes == []

@@ -114,8 +114,8 @@ def test_optimal_pair_simultaneous_attainment(seed):
     sums = np.concatenate([[0.0], np.cumsum(pair.values)])
     for m in range(7):
         assert abs(sums[m] - profile.partial(m)) <= 1e-8
-    assert is_decomposition_of(pair.psi, rho, 1e-8)
-    assert is_decomposition_of(pair.phi, omega, 1e-8)
+    assert is_decomposition_of(pair.psi, rho)
+    assert is_decomposition_of(pair.phi, omega)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -139,8 +139,8 @@ def test_optimal_pair_equal_deficient_supports():
     omega = StateOperator.from_matrix(basis @ np.diag([0.2, 0.8]).astype(complex) @ basis.conj().T)
     pair = optimal_pair(rho, omega)
     assert pair.psi.length == 2
-    assert is_decomposition_of(pair.psi, rho, 1e-8)
-    assert is_decomposition_of(pair.phi, omega, 1e-8)
+    assert is_decomposition_of(pair.psi, rho)
+    assert is_decomposition_of(pair.phi, omega)
     profile = fidelity_spectrum(rho, omega)
     assert abs(np.sum(pair.values) - profile.fidelity) <= 1e-8
 
@@ -237,8 +237,8 @@ def test_general_matches_plain_for_pd_pairs():
 def test_general_pure_pair_example():
     pair = optimal_pair_general(pure_state(PLUS), diag_state(1.0, 0.0))
     np.testing.assert_allclose(pair.values, [1.0 / np.sqrt(2), 0.0], atol=1e-12)
-    assert is_decomposition_of(pair.psi, pure_state(PLUS), 1e-8)
-    assert is_decomposition_of(pair.phi, diag_state(1.0, 0.0), 1e-8)
+    assert is_decomposition_of(pair.psi, pure_state(PLUS))
+    assert is_decomposition_of(pair.phi, diag_state(1.0, 0.0))
 
 
 def test_general_common_support_line():
@@ -249,15 +249,15 @@ def test_general_common_support_line():
     np.testing.assert_allclose(pair.values[1:], 0.0, atol=1e-12)
     profile = fidelity_spectrum(rho, omega)
     assert abs(profile.fidelity - 0.5) <= 1e-12
-    assert is_decomposition_of(pair.psi, rho, 1e-8)
-    assert is_decomposition_of(pair.phi, omega, 1e-8)
+    assert is_decomposition_of(pair.psi, rho)
+    assert is_decomposition_of(pair.phi, omega)
 
 
 def test_general_orthogonal_supports():
     pair = optimal_pair_general(diag_state(1.0, 0.0), diag_state(0.0, 1.0))
     np.testing.assert_allclose(pair.values, 0.0, atol=1e-12)
-    assert is_decomposition_of(pair.psi, diag_state(1.0, 0.0), 1e-9)
-    assert is_decomposition_of(pair.phi, diag_state(0.0, 1.0), 1e-9)
+    assert is_decomposition_of(pair.psi, diag_state(1.0, 0.0))
+    assert is_decomposition_of(pair.phi, diag_state(0.0, 1.0))
     gram = cross_gram(pair.psi, pair.phi)
     assert np.max(np.abs(gram)) <= 1e-10
 
@@ -269,8 +269,8 @@ def test_general_random_singular_pairs(seed):
     rho = random_state(rng, dim, rank=int(rng.integers(1, dim + 1)))
     omega = random_state(rng, dim, rank=int(rng.integers(1, dim + 1)))
     pair = optimal_pair_general(rho, omega)
-    assert is_decomposition_of(pair.psi, rho, 1e-8)
-    assert is_decomposition_of(pair.phi, omega, 1e-8)
+    assert is_decomposition_of(pair.psi, rho)
+    assert is_decomposition_of(pair.phi, omega)
     profile = fidelity_spectrum(rho, omega)
     sums = np.concatenate([[0.0], np.cumsum(pair.values)])
     for m in range(dim + 1):
@@ -366,8 +366,8 @@ def test_transform_decompositions_preserve_overlaps(seed):
         overlap_values(new_psi, new_phi), overlap_values(psi, phi), atol=1e-9
     )
     new_rho, new_omega = transform_pair(rho, omega, x)
-    assert is_decomposition_of(new_psi, new_rho, 1e-8)
-    assert is_decomposition_of(new_phi, new_omega, 1e-8)
+    assert is_decomposition_of(new_psi, new_rho)
+    assert is_decomposition_of(new_phi, new_omega)
 
 
 # ---------------------------------------------------------------- regularization

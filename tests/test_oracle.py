@@ -164,12 +164,12 @@ def test_search_is_deterministic():
 def test_search_decomposes_each_operator_once(monkeypatch):
     calls = []
 
-    def counting_eig(matrix, *args, **kwargs):
+    def counting_spectrum(matrix):
         calls.append(matrix.shape)
-        return original(matrix, *args, **kwargs)
+        return original(matrix)
 
-    original = matcore.hermitian_eig
-    monkeypatch.setattr(matcore, "hermitian_eig", counting_eig)
+    original = matcore.psd_spectrum
+    monkeypatch.setattr(matcore, "psd_spectrum", counting_spectrum)
     rng = np.random.default_rng(10)
     rho_matrix = random_psd_matrix(rng, 4, rank=2)
     omega_matrix = random_psd_matrix(rng, 4, rank=3)

@@ -44,9 +44,9 @@ def test_spectral_decomposition_is_decomposition():
     rng = np.random.default_rng(0)
     tau = random_state(rng, 4)
     deco = spectral_decomposition(tau)
-    assert is_decomposition_of(deco, tau, 1e-9)
+    assert is_decomposition_of(deco, tau)
     # scale mismatch must fail
-    assert not is_decomposition_of(deco, tau.scaled(2.0), 1e-9)
+    assert not is_decomposition_of(deco, tau.scaled(2.0))
 
 
 def test_is_decomposition_dimension_mismatch():
@@ -68,7 +68,7 @@ def test_random_decomposition_reconstructs_and_preserves_trace():
     tau = StateOperator.from_matrix(np.eye(2, dtype=complex) / 2.0)
     deco = random_decomposition(tau, 4, seed=7)
     assert deco.length == 4
-    assert is_decomposition_of(deco, tau, 1e-9)
+    assert is_decomposition_of(deco, tau)
     assert abs(np.sum(deco.norms_squared) - tau.trace) <= 1e-10
 
 
@@ -77,8 +77,8 @@ def test_random_decomposition_seeds_differ():
     tau = random_state(rng, 3)
     first = random_decomposition(tau, 3, seed=1)
     second = random_decomposition(tau, 3, seed=2)
-    assert is_decomposition_of(first, tau, 1e-9)
-    assert is_decomposition_of(second, tau, 1e-9)
+    assert is_decomposition_of(first, tau)
+    assert is_decomposition_of(second, tau)
     assert np.linalg.norm(first.vectors - second.vectors) > 1e-3
 
 
