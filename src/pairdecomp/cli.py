@@ -4,7 +4,9 @@ Operators are read from small JSON files (``dim`` plus a row-major list
 of ``[re, im]`` entries); every command writes one report to stdout and
 diagnostics to stderr.  Reports are rendered with sorted keys and
 shortest round-trip float formatting, so identical inputs, flags and
-seeds produce byte-identical output.
+seeds produce byte-identical output for a fixed numpy build and BLAS
+thread count (LAPACK's ``svd`` changes its last bits between one and two
+OpenBLAS threads).
 
 Exit codes: 0 success, 2 parse error, 3 validation failure, 4 upper
 bound violated or optimum not attained (an implementation bug), 5
@@ -371,7 +373,9 @@ def _parser() -> argparse.ArgumentParser:
                        help="regularization path toward a singular pair")
     p.add_argument("rho")
     p.add_argument("omega")
-    p.add_argument("--c", type=float, nargs="+", default=[1e-2, 1e-4, 1e-6])
+    p.add_argument("--c", type=float, nargs="+", default=[1e-2, 1e-4, 1e-6],
+                   help="regularization constants relative to each operator's trace, "
+                        "strictly decreasing")
     p.set_defaults(func=cmd_regularize)
     return parser
 

@@ -3,10 +3,11 @@
 Hermitian eigendecomposition by parallel-order Jacobi rotations (each
 round of a sweep rotates m/2 disjoint pivot pairs with one batched
 product), the clamped spectrum of a positive semidefinite operator
-(where every numerical rank is decided), matrix functions, support/null
-projections and the operator geometric mean.  Everything works on plain
-``numpy`` arrays, never mutates its inputs, and is deterministic: the
-same input bits give the same output bits.
+(where every numerical rank and support projection is decided), matrix
+functions and the operator geometric mean.  Everything works on plain
+``numpy`` arrays, never mutates its inputs, and is deterministic for a
+fixed numpy build and BLAS thread count: the same input bits give the
+same output bits.
 
 Every check in the package follows one rule: a gap is negligible when
 it is at most ``tol * scale``, with ``scale`` the operand's own size --
@@ -110,20 +111,12 @@ class HermitianEig:
 
 
 @dataclass(frozen=True)
-class RankInfo:
-    """Numerical rank of a PSD matrix with its support and null projections."""
-
-    rank: int
-    support_projection: np.ndarray
-    null_projection: np.ndarray
-
-
-@dataclass(frozen=True)
 class PsdSpectrum(HermitianEig):
     """Spectral data of a PSD matrix, eigenvalues clamped to be nonnegative.
 
     ``rank`` counts the eigenvalues above ``RANK_TOL * lambda_max``; the
-    zero operator has rank 0.  Every support decision reads that rank.
+    zero operator has rank 0.  Every support decision reads that rank and
+    ``projection``.
     There are two factors A with A A* = matrix: ``factor`` keeps the
     support, and ``exact_factor`` keeps every eigenvalue above the noise
     floor, which ``psd_spectrum`` has already set to exactly zero.
@@ -148,11 +141,10 @@ class PsdSpectrum(HermitianEig):
         r = int(np.count_nonzero(self.eigenvalues))
         return self.eigenvectors[:, :r] * np.sqrt(self.eigenvalues[:r])
 
-    def support(self) -> RankInfo:
+    def projection(self) -> np.ndarray:
+        """Orthogonal projection onto the support; zero for the zero operator."""
         v = self.basis()
-        projection = hermitian_part(v @ v.conj().T)
-        null = np.eye(v.shape[0], dtype=np.complex128) - projection
-        return RankInfo(v.shape[1], projection, hermitian_part(null))
+        return hermitian_part(v @ v.conj().T)
 
 
 def hermitian_eig(matrix: np.ndarray) -> HermitianEig:
@@ -289,23 +281,6 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     spectrum = psd_spectrum(a)
     root = spectrum.exact_factor()
     return hermitian_part(root @ spectrum.eigenvectors[:, : root.shape[1]].conj().T)
-
-
-def support_info(a: np.ndarray) -> RankInfo:
-    """Numerical rank and support/null projections of a PSD matrix.
-
-    The rank counts eigenvalues above ``RANK_TOL * lambda_max``; the zero
-    operator has rank 0 and a zero support projection.
-    """
-    return psd_spectrum(a).support()
-
-
-def pinv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse square root: R with R a R = support projection of a."""
-    spectrum = psd_spectrum(a)
-    v = spectrum.basis()
-    inv = 1.0 / np.sqrt(spectrum.eigenvalues[: v.shape[1]])
-    return hermitian_part((v * inv) @ v.conj().T)
 
 
 def _require_pd(spectrum: PsdSpectrum, name: str) -> PsdSpectrum:

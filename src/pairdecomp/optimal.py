@@ -25,7 +25,7 @@ from .exceptions import (
     UnequalSupportsError,
 )
 from .fidelity import FidelityProfile, _profile
-from .matcore import CONDITION_LIMIT, SUPPORT_MATCH_TOL
+from .matcore import CONDITION_LIMIT, RANK_TOL, SUPPORT_MATCH_TOL, PsdSpectrum
 from .states import Decomposition, StateOperator, pad_to_length, spectral_decomposition
 
 
@@ -103,11 +103,9 @@ def optimal_pair(rho: StateOperator, omega: StateOperator) -> OptimalPair:
     """
     if rho.dim != omega.dim:
         raise DimensionMismatchError(f"operator dims differ: {rho.dim} vs {omega.dim}")
-    info_r = rho.spectrum.support()
-    info_w = omega.spectrum.support()
-    if not _same_support(info_r, info_w):
+    if not _same_support(rho.spectrum, omega.spectrum):
         raise UnequalSupportsError(
-            f"supports differ (ranks {info_r.rank} vs {info_w.rank}); "
+            f"supports differ (ranks {rho.spectrum.rank()} vs {omega.spectrum.rank()}); "
             "use optimal_pair_general"
         )
     a = rho.spectrum.factor()
@@ -118,9 +116,9 @@ def optimal_pair(rho: StateOperator, omega: StateOperator) -> OptimalPair:
     )
 
 
-def _same_support(info_r: matcore.RankInfo, info_w: matcore.RankInfo) -> bool:
-    gap = matcore.frobenius(info_r.support_projection - info_w.support_projection)
-    return info_r.rank == info_w.rank and gap <= SUPPORT_MATCH_TOL
+def _same_support(a: PsdSpectrum, b: PsdSpectrum) -> bool:
+    gap = matcore.frobenius(a.projection() - b.projection())
+    return a.rank() == b.rank() and gap <= SUPPORT_MATCH_TOL
 
 
 def support_reduction(rho: StateOperator, omega: StateOperator) -> SupportReductionTrace:
@@ -131,34 +129,41 @@ def support_reduction(rho: StateOperator, omega: StateOperator) -> SupportReduct
     supports agree; a step is recorded only when it actually changes the
     operator.  The alternation ends after finitely many steps, or raises
     ``BothZeroError`` when both operators are or become zero (zero or
-    orthogonally supported input).
+    orthogonally supported input).  An eigenvalue within a few orders of
+    magnitude of ``RANK_TOL * lambda_max`` can flip a rank decision from
+    one step to the next; if the supports still differ after
+    ``2 * dim + 4`` steps, ``UnequalSupportsError`` says so.
     """
     if rho.dim != omega.dim:
         raise DimensionMismatchError(f"operator dims differ: {rho.dim} vs {omega.dim}")
     cur_r, cur_w = rho, omega
     steps: list[ReductionStep] = []
     rho_turn = True
-    for _ in range(2 * rho.dim + 4):
-        info_r = cur_r.spectrum.support()
-        info_w = cur_w.spectrum.support()
-        if info_r.rank == 0 and info_w.rank == 0:
+    budget = 2 * rho.dim + 4
+    for _ in range(budget):
+        spectrum_r, spectrum_w = cur_r.spectrum, cur_w.spectrum
+        if spectrum_r.rank() == 0 and spectrum_w.rank() == 0:
             raise BothZeroError("support reduction annihilated both operators")
-        if _same_support(info_r, info_w):
+        if _same_support(spectrum_r, spectrum_w):
             return SupportReductionTrace(tuple(steps), cur_r, cur_w)
         if rho_turn:
-            q = info_w.support_projection
+            q = spectrum_w.projection()
             new_r = StateOperator(matcore.hermitian_part(q @ cur_r.matrix @ q))
             if not _unchanged(cur_r, new_r):
                 steps.append(ReductionStep("rho", q, new_r.spectrum.rank(), cur_r))
             cur_r = new_r
         else:
-            p = info_r.support_projection
+            p = spectrum_r.projection()
             new_w = StateOperator(matcore.hermitian_part(p @ cur_w.matrix @ p))
             if not _unchanged(cur_w, new_w):
                 steps.append(ReductionStep("omega", p, new_w.spectrum.rank(), cur_w))
             cur_w = new_w
         rho_turn = not rho_turn
-    raise RuntimeError("support reduction failed to terminate")  # unreachable
+    raise UnequalSupportsError(
+        f"supports still differ after {budget} support-reduction steps "
+        f"({len(steps)} of them changed an operator); an eigenvalue near "
+        f"RANK_TOL * lambda_max (RANK_TOL={RANK_TOL:.1e}) can cause this"
+    )
 
 
 def _unchanged(before: StateOperator, after: StateOperator) -> bool:
@@ -301,26 +306,31 @@ def transform_decompositions(
 
 
 def regularized_profile(rho: StateOperator, omega: StateOperator, c: float) -> FidelityProfile:
-    """Fidelity spectrum of (rho + c P0, omega + c Q0) with null projections P0, Q0.
+    """Fidelity spectrum of (rho + c tr(rho) P0, omega + c tr(omega) Q0).
 
-    As c decreases to zero the profile approaches the profile of the
-    original pair; for strictly positive pairs it is already identical.
-    With the cached spectrum rho = V L V* and P0 spanned by the eigenvectors
-    past the rank, rho + c P0 = A_c A_c* exactly for A_c = V (L + c E0)^{1/2},
-    E0 the 0/1 diagonal of those indices, so the profile is the singular
-    values of A_c* B_c and no eig runs.  When rho P0 = 0 as well, A_c A_c* =
-    (sqrt(rho) + h P0)^2 with h = sqrt(c); the path stays a small perturbation
-    of its limit for h below about the radius r = sigma+_min /
-    ||sqrt(rho) Q0 + P0 sqrt(omega)||_2, where sigma+_min is the smallest
-    nonzero value of the limit: by Weyl's inequality the values that the
+    P0 and Q0 are the null projections.  The constant c is relative to each
+    operator's trace, so rescaling rho or omega rescales the profile by the
+    square root of the factor and changes no row.  As c decreases to zero
+    the profile approaches the profile of the original pair; for strictly
+    positive pairs it is already identical.  With the cached spectrum
+    rho = V L V* and P0 spanned by the eigenvectors past the rank,
+    rho + c_rho P0 = A_c A_c* exactly for A_c = V (L + c_rho E0)^{1/2},
+    c_rho = c tr(rho) and E0 the 0/1 diagonal of those indices, so the
+    profile is the singular values of A_c* B_c and no eig runs.  When
+    rho P0 = 0 as well, A_c A_c* = (sqrt(rho) + h sqrt(tr rho) P0)^2 with
+    h = sqrt(c); the path stays a small perturbation of its limit for h
+    below about the radius r = sigma+_min / ||sqrt(tr omega) sqrt(rho) Q0 +
+    sqrt(tr rho) P0 sqrt(omega)||_2, where sigma+_min is the smallest nonzero
+    value of the limit: by Weyl's inequality the values that the
     regularization creates stay below sigma+_min there, to first order in h.
     """
     if not 0.0 < c < np.inf:
         raise ValueError(f"regularization constant must be positive and finite, got {c}")
     factors = []
-    for spectrum in (rho.spectrum, omega.spectrum):
+    for operator in (rho, omega):
+        spectrum = operator.spectrum
         vals = spectrum.eigenvalues.copy()
-        vals[spectrum.rank():] += c
+        vals[spectrum.rank():] += c * operator.trace
         factors.append(spectrum.eigenvectors * np.sqrt(vals))
     return _profile(*factors)
 

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .exceptions import (
-    DimensionMismatchError,
-    LengthTooShortError,
-    NotPSDError,
-)
+from .exceptions import DimensionMismatchError, LengthTooShortError
 from .matcore import DEFAULT_MATCH_TOL
 
 
@@ -37,14 +33,16 @@ class StateOperator:
 
     @classmethod
     def from_matrix(cls, matrix) -> "StateOperator":
-        """Validate Hermiticity and positivity, then wrap the matrix.
+        """Wrap the matrix, then validate Hermiticity and positivity.
 
-        Eigenvalues in [-PSD_CLAMP_TOL * lambda_max, 0) are accepted as
-        noise; anything lower raises ``NotPSDError``.  The spectrum computed
-        for the check is kept as ``spectrum``.
+        The spectrum raises ``NotHermitianError`` for a non-square,
+        non-finite or non-Hermitian matrix.  Eigenvalues in
+        [-PSD_CLAMP_TOL * lambda_max, 0) are accepted as noise; anything
+        lower raises ``NotPSDError``.  The spectrum computed for the check
+        is kept as ``spectrum``.
         """
-        operator = cls(matcore.require_hermitian(matrix))
-        operator.spectrum  # raises NotPSDError; stays cached
+        operator = cls(matrix)
+        operator.spectrum  # raises NotHermitianError or NotPSDError; stays cached
         return operator
 
     @functools.cached_property
@@ -199,21 +197,8 @@ def overlap_values(first: Decomposition, second: Decomposition) -> np.ndarray:
     return np.abs(first.vectors.conj() @ second.vectors.T)
 
 
-def random_state_operator(
-    dim: int,
-    rank: int | None = None,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
-    normalize: bool = True,
-) -> StateOperator:
-    """Random PSD operator of prescribed rank (full rank by default)."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    r = dim if rank is None else rank
-    if not 0 < r <= dim:
-        raise NotPSDError(f"rank must be in 1..{dim}, got {r}")
-    b = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+def random_state_operator(dim: int, rng: np.random.Generator) -> StateOperator:
+    """Random full-rank PSD operator of unit trace."""
+    b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = matcore.hermitian_part(b @ b.conj().T)
-    if normalize:
-        m = m / np.trace(m).real
-    return StateOperator(m)
+    return StateOperator(m / np.trace(m).real)

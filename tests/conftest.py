@@ -53,6 +53,22 @@ def random_singular(rng, dim, rank=None):
     return m / np.linalg.norm(m, 2)
 
 
+def near_threshold_pair():
+    """Two d=5 matrices with eigenvalues a few times RANK_TOL * lambda_max.
+
+    The support eigenvectors of such eigenvalues are fixed only to about
+    eps / 1e-10, so the support projections of the alternating reduction
+    keep moving by ~1e-7 and never match to SUPPORT_MATCH_TOL.
+    """
+    rng = np.random.default_rng(11)
+    matrices = []
+    for vals in ((1.0, 0.5, 0.2, 3e-10, 5e-11), (1.0, 0.3, 0.05, 2e-10, 1.2e-10)):
+        q, _ = np.linalg.qr(random_complex(rng, (5, 5)))
+        m = q @ np.diag(vals) @ q.conj().T
+        matrices.append((m + m.conj().T) / 2.0)
+    return matrices
+
+
 def cross_gram(psi, phi):
     """Matrix of inner products <psi_j | phi_k>."""
     return psi.vectors.conj() @ phi.vectors.T

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import near_threshold_pair, random_state
 from pairdecomp import Decomposition, StateOperator, is_decomposition_of, matcore
 from pairdecomp.cli import load_matrix_file, main
 
@@ -124,6 +124,16 @@ def test_dimension_mismatch_exits_3(tmp_path, capsys, command):
     assert code == 3
     assert out == ""
     assert "operator dims differ: 2 vs 3" in err
+
+
+@pytest.mark.parametrize("command", ["decompose", "regularize", "verify"])
+def test_near_threshold_pair_exits_3(tmp_path, capsys, command):
+    rho, omega = near_threshold_pair()
+    paths = (write_matrix(tmp_path / "rho.json", rho), write_matrix(tmp_path / "omega.json", omega))
+    code, out, err = run_cli(capsys, command, *paths)
+    assert code == 3
+    assert out == ""
+    assert "support-reduction steps" in err and "RANK_TOL" in err
 
 
 # ---------------------------------------------------------------- spectrum

@@ -15,13 +15,11 @@ from pairdecomp import (
     StateOperator,
     geometric_mean,
     hermitian_eig,
-    pinv_sqrt,
     psd_sqrt,
-    support_info,
 )
 import pairdecomp
 from pairdecomp import matcore
-from pairdecomp.matcore import _round_robin_step, require_square
+from pairdecomp.matcore import _round_robin_step, psd_spectrum, require_square
 
 
 def characteristic_roots(a):
@@ -265,62 +263,39 @@ def test_psd_sqrt_rejects_indefinite():
         psd_sqrt(np.diag([1.0, -0.5]).astype(complex))
 
 
-# ---------------------------------------------------------------- support_info
+# ---------------------------------------------------------------- support projection
 
 def test_support_info_diagonal():
-    info = support_info(np.diag([0.5, 0.5, 0.0]).astype(complex))
-    assert info.rank == 2
-    np.testing.assert_allclose(info.support_projection, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(info.null_projection, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
+    spectrum = psd_spectrum(np.diag([0.5, 0.5, 0.0]).astype(complex))
+    assert spectrum.rank() == 2
+    np.testing.assert_allclose(spectrum.projection(), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(np.eye(3) - spectrum.projection(), np.diag([0.0, 0.0, 1.0]),
+                               atol=1e-12)
 
 
 def test_support_info_zero_operator():
-    info = support_info(np.zeros((3, 3), dtype=complex))
-    assert info.rank == 0
-    np.testing.assert_array_equal(info.support_projection, np.zeros((3, 3)))
+    spectrum = psd_spectrum(np.zeros((3, 3), dtype=complex))
+    assert spectrum.rank() == 0
+    np.testing.assert_array_equal(spectrum.projection(), np.zeros((3, 3)))
 
 
 def test_support_info_rank_one_projector():
     rng = np.random.default_rng(5)
     v = random_unit_vector(rng, 5)
     outer = np.outer(v, v.conj())
-    info = support_info(outer)
-    assert info.rank == 1
-    assert np.linalg.norm(info.support_projection - outer) <= 1e-10
+    spectrum = psd_spectrum(outer)
+    assert spectrum.rank() == 1
+    assert np.linalg.norm(spectrum.projection() - outer) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_support_projection_invariants(seed):
     rng = np.random.default_rng(seed)
     a = random_psd_matrix(rng, 6, rank=4)
-    info = support_info(a)
-    p = info.support_projection
+    p = psd_spectrum(a).projection()
     assert np.linalg.norm(p @ p - p) <= 1e-9
     assert np.linalg.norm(p - p.conj().T) <= 1e-9
     assert np.linalg.norm(a @ p - a) <= 1e-9 * max(1.0, np.linalg.norm(a))
-    np.testing.assert_allclose(p + info.null_projection, np.eye(6), atol=1e-10)
-
-
-# ---------------------------------------------------------------- pinv_sqrt
-
-def test_pinv_sqrt_diagonal():
-    np.testing.assert_allclose(
-        pinv_sqrt(np.diag([4.0, 0.0]).astype(complex)),
-        np.diag([0.5, 0.0]),
-        atol=1e-14,
-    )
-
-
-def test_pinv_sqrt_identity():
-    np.testing.assert_allclose(pinv_sqrt(np.eye(4, dtype=complex)), np.eye(4), atol=1e-14)
-
-
-def test_pinv_sqrt_residual():
-    rng = np.random.default_rng(8)
-    a = random_psd_matrix(rng, 4, rank=2)
-    r = pinv_sqrt(a)
-    q = support_info(a).support_projection
-    assert np.linalg.norm(r @ a @ r - q) <= 1e-9
 
 
 # ---------------------------------------------------------------- geometric mean

@@ -5,6 +5,7 @@ from conftest import (
     cross_gram,
     random_complex,
     random_invertible,
+    near_threshold_pair,
     random_state,
     random_unit_vector,
 )
@@ -29,7 +30,7 @@ from pairdecomp import (
     transform_pair,
 )
 from pairdecomp.optimal import _lift_through_projection
-from pairdecomp.matcore import frobenius, support_info
+from pairdecomp.matcore import frobenius
 
 
 def diag_state(*values):
@@ -169,14 +170,22 @@ def test_support_reduction_plus_zero_example():
     assert len(trace.steps) == 1
     assert trace.steps[0].side == "rho"
     np.testing.assert_allclose(trace.final_rho.matrix, np.diag([0.5, 0.0]), atol=1e-12)
-    support_rho = support_info(trace.final_rho.matrix).support_projection
-    support_omega = support_info(trace.final_omega.matrix).support_projection
+    support_rho = trace.final_rho.spectrum.projection()
+    support_omega = trace.final_omega.spectrum.projection()
     np.testing.assert_allclose(support_rho, support_omega, atol=1e-9)
 
 
 def test_support_reduction_orthogonal_supports_raise():
     with pytest.raises(BothZeroError):
         support_reduction(diag_state(1.0, 0.0), diag_state(0.0, 1.0))
+
+
+def test_support_reduction_near_the_rank_threshold_raises_unequal_supports():
+    rho, omega = (StateOperator.from_matrix(m) for m in near_threshold_pair())
+    with pytest.raises(UnequalSupportsError, match=r"after 14 support-reduction steps.*RANK_TOL"):
+        support_reduction(rho, omega)
+    with pytest.raises(UnequalSupportsError):
+        optimal_pair_general(rho, omega)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -426,11 +435,12 @@ def test_regularized_profile_matches_the_regularized_operators():
         dim = 2 + trial % 5
         rho = random_state(rng, dim, rank=int(rng.integers(1, dim)))
         omega = random_state(rng, dim, rank=int(rng.integers(1, dim + 1)))
-        p0 = rho.spectrum.support().null_projection
-        q0 = omega.spectrum.support().null_projection
+        p0 = np.eye(dim) - rho.spectrum.projection()
+        q0 = np.eye(dim) - omega.spectrum.projection()
         for c in (1e-2, 1e-4, 1e-6):
             reference = fidelity_spectrum(
-                StateOperator(rho.matrix + c * p0), StateOperator(omega.matrix + c * q0)
+                StateOperator(rho.matrix + c * rho.trace * p0),
+                StateOperator(omega.matrix + c * omega.trace * q0),
             )
             np.testing.assert_allclose(
                 regularized_profile(rho, omega, c).cumulative, reference.cumulative,

@@ -18,6 +18,7 @@ from pairdecomp import (
     fidelity_spectrum,
     is_decomposition_of,
     optimal_pair_general,
+    regularized_profile,
 )
 
 SKEWED = np.array([[1.0, 0.5], [0.4, 1.0]], dtype=complex)
@@ -71,3 +72,17 @@ def test_rank_decision_near_the_threshold(s, t):
     pair = optimal_pair_general(rho, omega)
     assert is_decomposition_of(pair.psi, rho)
     assert is_decomposition_of(pair.phi, omega)
+
+
+def test_regularized_rows_do_not_change_with_scale():
+    """c is relative to each trace: a rank-2 rho at 1e-20 against a full-rank
+    omega at 1e20 gives the unscaled rows times sqrt(1e-20 * 1e20)."""
+    rng = np.random.default_rng(21)
+    rho = random_state(rng, 5, rank=2)
+    omega = random_state(rng, 5)
+    rho_s = StateOperator.from_matrix(1e-20 * rho.matrix)
+    omega_t = StateOperator.from_matrix(1e20 * omega.matrix)
+    for c in (1e-2, 1e-4, 1e-6):
+        reference = regularized_profile(rho, omega, c).cumulative
+        np.testing.assert_allclose(regularized_profile(rho_s, omega_t, c).cumulative, reference,
+                                   rtol=0.0, atol=1e-12 * reference[-1])
