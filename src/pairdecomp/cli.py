@@ -120,7 +120,7 @@ def floats(values) -> list:
 
 def build_report(command: str, inputs: dict, results: dict, args) -> dict:
     tolerances = {"rank_tol": RANK_TOL, "tol": DEFAULT_MATCH_TOL}
-    if getattr(args, "seed", None) is not None:
+    if hasattr(args, "seed"):
         tolerances["seed"] = int(args.seed)
     return {
         "command": command,
@@ -324,9 +324,6 @@ def cmd_regularize(args) -> tuple[dict, int]:
 # ----------------------------------------------------------------------
 
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-
     parser = argparse.ArgumentParser(
         prog="pairdecomp",
         description="Partial fidelities and optimal simultaneous decompositions "
@@ -334,43 +331,40 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common],
-                       help="fidelity spectrum and partial fidelities of a pair")
+    p = sub.add_parser("spectrum", help="fidelity spectrum and partial fidelities of a pair")
     p.add_argument("rho")
     p.add_argument("omega")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("decompose", parents=[common],
-                       help="optimal simultaneous decompositions of a pair")
+    p = sub.add_parser("decompose", help="optimal simultaneous decompositions of a pair")
     p.add_argument("rho")
     p.add_argument("omega")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="randomized search certifying the pairing upper bound")
+    p = sub.add_parser("verify", help="randomized search certifying the pairing upper bound")
     p.add_argument("rho")
     p.add_argument("omega")
     p.add_argument("--m", type=int, default=None, help="pairing size (default: dim)")
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--lengths", type=int, nargs=2, default=None,
                    help="decomposition lengths (default: dim dim)")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("nielsen", parents=[common],
-                       help="decomposition with prescribed vector norms")
+    p = sub.add_parser("nielsen", help="decomposition with prescribed vector norms")
     p.add_argument("tau")
     p.add_argument("--weights", type=float, nargs="+", required=True)
     p.set_defaults(func=cmd_nielsen)
 
-    p = sub.add_parser("concavity-search", parents=[common],
+    p = sub.add_parser("concavity-search",
                        help="search for concavity/convexity defects of a partial fidelity")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_concavity_search)
 
-    p = sub.add_parser("regularize", parents=[common],
-                       help="regularization path toward a singular pair")
+    p = sub.add_parser("regularize", help="regularization path toward a singular pair")
     p.add_argument("rho")
     p.add_argument("omega")
     p.add_argument("--c", type=float, nargs="+", default=[1e-2, 1e-4, 1e-6],

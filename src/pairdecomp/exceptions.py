@@ -63,4 +63,4 @@ class MTooLargeError(PairDecompError):
 
 
 class MatrixFileError(PairDecompError):
-    """An operator file could not be parsed."""
+    """An operator file could not be parsed, or a command flag is out of range."""

@@ -182,12 +182,14 @@ def hermitian_eig(matrix: np.ndarray) -> HermitianEig:
     jh = np.empty((k, 2, 2), dtype=np.complex128)
     # rotations below this cannot lift the off-diagonal mass above the target
     tiny = _SWEEP_TOL * scale / (n * n)
-    converged = False
-    for _ in range(_MAX_SWEEPS):
+    for sweep in range(_MAX_SWEEPS + 1):
         off = frobenius(work - np.diag(np.diag(work)))
         if off <= _SWEEP_TOL * scale:
-            converged = True
             break
+        if sweep == _MAX_SWEEPS:
+            raise NoConvergenceError(
+                f"Jacobi sweeps exhausted ({_MAX_SWEEPS}) without convergence"
+            )
         for _ in range(m - 1):
             # pair j sits at slots (2j, 2j + 1)
             diag = work.diagonal().real
@@ -218,13 +220,6 @@ def hermitian_eig(matrix: np.ndarray) -> HermitianEig:
                 flat[:: m + 1] = flat[:: m + 1].real
             work = work.take(step, axis=0).take(step, axis=1)
             vecs_h = vecs_h.take(step, axis=0)
-    else:
-        off = frobenius(work - np.diag(np.diag(work)))
-        converged = off <= _SWEEP_TOL * scale
-    if not converged:
-        raise NoConvergenceError(
-            f"Jacobi sweeps exhausted ({_MAX_SWEEPS}) without convergence"
-        )
 
     # after whole sweeps the slots are back in index order
     vals = np.real(np.diag(work))[:n].copy()

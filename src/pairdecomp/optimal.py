@@ -136,29 +136,23 @@ def support_reduction(rho: StateOperator, omega: StateOperator) -> SupportReduct
     """
     if rho.dim != omega.dim:
         raise DimensionMismatchError(f"operator dims differ: {rho.dim} vs {omega.dim}")
-    cur_r, cur_w = rho, omega
+    current = {"rho": rho, "omega": omega}
     steps: list[ReductionStep] = []
-    rho_turn = True
+    side, other = "rho", "omega"
     budget = 2 * rho.dim + 4
     for _ in range(budget):
-        spectrum_r, spectrum_w = cur_r.spectrum, cur_w.spectrum
-        if spectrum_r.rank() == 0 and spectrum_w.rank() == 0:
+        spectra = {name: operator.spectrum for name, operator in current.items()}
+        if spectra["rho"].rank() == 0 and spectra["omega"].rank() == 0:
             raise BothZeroError("support reduction annihilated both operators")
-        if _same_support(spectrum_r, spectrum_w):
-            return SupportReductionTrace(tuple(steps), cur_r, cur_w)
-        if rho_turn:
-            q = spectrum_w.projection()
-            new_r = StateOperator(matcore.hermitian_part(q @ cur_r.matrix @ q))
-            if not _unchanged(cur_r, new_r):
-                steps.append(ReductionStep("rho", q, new_r.spectrum.rank(), cur_r))
-            cur_r = new_r
-        else:
-            p = spectrum_r.projection()
-            new_w = StateOperator(matcore.hermitian_part(p @ cur_w.matrix @ p))
-            if not _unchanged(cur_w, new_w):
-                steps.append(ReductionStep("omega", p, new_w.spectrum.rank(), cur_w))
-            cur_w = new_w
-        rho_turn = not rho_turn
+        if _same_support(spectra["rho"], spectra["omega"]):
+            return SupportReductionTrace(tuple(steps), current["rho"], current["omega"])
+        before = current[side]
+        q = spectra[other].projection()
+        after = StateOperator(matcore.hermitian_part(q @ before.matrix @ q))
+        if not _unchanged(before, after):
+            steps.append(ReductionStep(side, q, after.spectrum.rank(), before))
+        current[side] = after
+        side, other = other, side
     raise UnequalSupportsError(
         f"supports still differ after {budget} support-reduction steps "
         f"({len(steps)} of them changed an operator); an eigenvalue near "
@@ -221,15 +215,13 @@ def optimal_pair_general(rho: StateOperator, omega: StateOperator) -> OptimalPai
         return OptimalPair(psi, phi, np.zeros(dim))
 
     core = optimal_pair(trace.final_rho, trace.final_omega)
-    psi_rows = core.psi.vectors
-    phi_rows = core.phi.vectors
+    rows = {"rho": core.psi.vectors, "omega": core.phi.vectors}
     for step in reversed(trace.steps):
-        if step.side == "rho":
-            psi_rows = _lift_through_projection(psi_rows, step.operator_before, step.projector)
-        else:
-            phi_rows = _lift_through_projection(phi_rows, step.operator_before, step.projector)
-    length = max(psi_rows.shape[0], phi_rows.shape[0], dim)
-    psi, phi = (pad_to_length(Decomposition(rows), length) for rows in (psi_rows, phi_rows))
+        rows[step.side] = _lift_through_projection(
+            rows[step.side], step.operator_before, step.projector
+        )
+    length = max(rows["rho"].shape[0], rows["omega"].shape[0], dim)
+    psi, phi = (pad_to_length(Decomposition(vectors), length) for vectors in rows.values())
     return OptimalPair(psi, phi, np.pad(core.values, (0, length - core.values.size)))
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,13 @@ def run_cli(capsys, *argv):
 def pair_files(tmp_path):
     rho = write_matrix(tmp_path / "rho.json", np.diag([0.5, 0.5]), label="mixed")
     omega = write_matrix(tmp_path / "omega.json", np.diag([0.75, 0.25]))
+    return rho, omega
+
+
+@pytest.fixture
+def orthogonal_files(tmp_path):
+    rho = write_matrix(tmp_path / "rho.json", np.diag([0.6, 0.4, 0.0]))
+    omega = write_matrix(tmp_path / "omega.json", np.diag([0.0, 0.0, 1.0]))
     return rho, omega
 
 
@@ -202,6 +213,16 @@ def test_decompose_pure_pair(tmp_path, capsys):
     assert abs(results["values"][1]) <= 1e-12
 
 
+def test_decompose_orthogonal_supports(orthogonal_files, capsys):
+    code, out, _ = run_cli(capsys, "decompose", *orthogonal_files)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["gauge"] is None
+    assert results["values"] == [0.0] * len(results["values"])
+    for value in results["residuals"].values():
+        assert value <= 1e-9
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_passes_and_exits_0(pair_files, capsys):
@@ -336,6 +357,12 @@ def test_regularize_pd_rows_identical(pair_files, capsys):
     assert results["reduction_steps"] == 0
 
 
+def test_regularize_orthogonal_supports(orthogonal_files, capsys):
+    code, out, _ = run_cli(capsys, "regularize", *orthogonal_files)
+    assert code == 0
+    assert json.loads(out)["results"]["reduction_steps"] is None
+
+
 def test_regularize_pure_pair_converges(tmp_path, capsys):
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     rho_path = write_matrix(tmp_path / "rho.json", np.outer(plus, plus))
@@ -413,19 +440,40 @@ def test_reports_are_byte_identical(pair_files, capsys):
     assert spectra[0][1] == spectra[1][1]
 
 
+def test_reports_are_byte_identical_across_processes(tmp_path):
+    rng = np.random.default_rng(48)
+    rho = write_matrix(tmp_path / "rho.json", random_state(rng, 48).matrix)
+    omega = write_matrix(tmp_path / "omega.json", random_state(rng, 48, rank=30).matrix)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for command in ("spectrum", "decompose"):
+        runs = [
+            subprocess.run([sys.executable, "-m", "pairdecomp", command, rho, omega],
+                           env=env, capture_output=True, check=True).stdout
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
+
+
 # ---------------------------------------------------------------- fixed tolerances
 
 def test_report_tolerances_are_the_library_constants(pair_files, capsys):
     code, out, _ = run_cli(capsys, "decompose", *pair_files)
     assert code == 0
-    assert json.loads(out)["tolerances"] == {"rank_tol": 1e-10, "seed": 0, "tol": 1e-9}
+    assert json.loads(out)["tolerances"] == {"rank_tol": 1e-10, "tol": 1e-9}
+    code, out, _ = run_cli(capsys, "verify", *pair_files, "--samples", "5", "--seed", "4")
+    assert code == 0
+    assert json.loads(out)["tolerances"] == {"rank_tol": 1e-10, "seed": 4, "tol": 1e-9}
 
 
 @pytest.mark.parametrize(
-    "command, flag", [("decompose", "--rank-tol 1e-2"), ("nielsen", "--tol 1e-3")]
+    "command, flag",
+    [("decompose", "--rank-tol 1e-2"), ("nielsen", "--tol 1e-3")]
+    + [(command, "--seed 1") for command in ("spectrum", "decompose", "nielsen", "regularize")],
 )
 def test_tolerance_flags_are_rejected(pair_files, capsys, command, flag):
-    operands = pair_files if command == "decompose" else (pair_files[0], "--weights", "1")
+    operands = pair_files if command != "nielsen" else (pair_files[0], "--weights", "1")
     with pytest.raises(SystemExit) as exc:
         main([command, *operands, *flag.split()])
     assert exc.value.code == 2

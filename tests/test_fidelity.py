@@ -4,6 +4,7 @@ import pytest
 from conftest import random_invertible, random_singular, random_state, random_unit_vector
 from pairdecomp import (
     DimensionMismatchError,
+    NotPSDError,
     StateOperator,
     fidelity,
     fidelity_spectrum,
@@ -20,6 +21,19 @@ def diag_state(*values):
 def pure_state(vector):
     v = np.asarray(vector, dtype=complex)
     return StateOperator.from_matrix(np.outer(v, v.conj()))
+
+
+def test_plain_arrays_give_the_state_operator_bits():
+    rng = np.random.default_rng(21)
+    rho, omega = random_state(rng, 4), random_state(rng, 4, rank=2)
+    from_arrays = fidelity_spectrum(rho.matrix.copy(), omega.matrix.copy())
+    from_states = fidelity_spectrum(rho, omega)
+    assert from_arrays.sigma.tobytes() == from_states.sigma.tobytes()
+
+
+def test_plain_non_psd_array_is_rejected():
+    with pytest.raises(NotPSDError):
+        fidelity_spectrum(np.diag([1.0, -0.5]).astype(complex), np.eye(2))
 
 
 def test_self_pair_spectrum_is_the_spectrum():

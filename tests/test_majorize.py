@@ -230,6 +230,17 @@ def test_certify_recovers_imaginary_phase():
     assert np.max(np.abs(np.abs(cert.phases) - 1.0)) <= 1e-10
 
 
+def test_certify_past_the_rank_fixes_the_phase_to_one():
+    # m = 3 > rank 2: the third vector is an exact zero on a zero eigenvalue
+    tau = diag_state(0.5, 0.5, 0.0)
+    deco = spectral_decomposition(tau)
+    cert = certify_equality(deco, deco, tau, 3)
+    assert cert.holds
+    np.testing.assert_allclose(cert.phases, np.ones(3), atol=1e-12)
+    assert cert.phases[2] == 1.0
+    assert cert.max_residual <= 1e-10
+
+
 def test_certify_rejects_generic_remix():
     rng = np.random.default_rng(9)
     tau = random_state(rng, 4)
