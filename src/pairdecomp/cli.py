@@ -111,11 +111,13 @@ def matrix_payload(matrix: np.ndarray) -> dict:
 
 
 def vector_payload(vector: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vector).ravel()]
+    # the loader's layout in reverse: complex128 entries as [re, im] float pairs
+    pairs = np.asarray(vector, dtype=np.complex128).ravel().view(np.float64)
+    return pairs.reshape(-1, 2).tolist()
 
 
 def floats(values) -> list:
-    return [float(v) for v in np.asarray(values).ravel()]
+    return np.asarray(values, dtype=np.float64).ravel().tolist()
 
 
 def build_report(command: str, inputs: dict, results: dict, args) -> dict:
@@ -152,24 +154,21 @@ def _load_pair(args) -> tuple[StateOperator, StateOperator, dict]:
 
 
 # ----------------------------------------------------------------------
-# commands
+# commands: each returns (inputs, results, exit code), and main builds the report
 # ----------------------------------------------------------------------
 
-def cmd_spectrum(args) -> tuple[dict, int]:
+def cmd_spectrum(args) -> tuple[dict, dict, int]:
     rho, omega, inputs = _load_pair(args)
-    profile = fidelity_spectrum(rho, omega)
-    return build_report("spectrum", inputs, _profile_payload(profile), args), EXIT_OK
+    return inputs, _profile_payload(fidelity_spectrum(rho, omega)), EXIT_OK
 
 
-def cmd_decompose(args) -> tuple[dict, int]:
+def cmd_decompose(args) -> tuple[dict, dict, int]:
     rho, omega, inputs = _load_pair(args)
     pair = optimal_pair_general(rho, omega)
     profile = fidelity_spectrum(rho, omega)
 
     gram = pair.psi.vectors.conj() @ pair.phi.vectors.T
-    target = np.zeros_like(gram)
-    np.fill_diagonal(target, pair.values)
-    biortho = float(np.max(np.abs(gram - target)))
+    biortho = float(np.max(np.abs(gram - np.diag(pair.values))))
 
     table = []
     for m in range(1, profile.dim + 1):
@@ -200,7 +199,7 @@ def cmd_decompose(args) -> tuple[dict, int]:
         },
         "partial_sums": table,
     }
-    return build_report("decompose", inputs, results, args), EXIT_OK
+    return inputs, results, EXIT_OK
 
 
 def _require_seed(seed: int) -> None:
@@ -208,7 +207,7 @@ def _require_seed(seed: int) -> None:
         raise MatrixFileError(f"seed must be nonnegative, got {seed}")
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_verify(args) -> tuple[dict, dict, int]:
     if args.m is not None and args.m < 0:
         raise MatrixFileError(f"m must be nonnegative, got {args.m}")
     if args.samples < 1:
@@ -232,10 +231,10 @@ def cmd_verify(args) -> tuple[dict, int]:
         "attained": report.attained,
     }
     code = EXIT_OK if (not report.violation and report.attained) else EXIT_VIOLATION
-    return build_report("verify", inputs, results, args), code
+    return inputs, results, code
 
 
-def cmd_nielsen(args) -> tuple[dict, int]:
+def cmd_nielsen(args) -> tuple[dict, dict, int]:
     tau, digest = load_state(args.tau)
     weights = np.asarray(args.weights, dtype=float)
     deco = nielsen_decomposition(tau, weights)
@@ -247,10 +246,10 @@ def cmd_nielsen(args) -> tuple[dict, int]:
         "norm_errors": floats(np.abs(norms - weights)),
         "reconstruction_ok": bool(is_decomposition_of(deco, tau)),
     }
-    return build_report("nielsen", {"tau": digest}, results, args), EXIT_OK
+    return {"tau": digest}, results, EXIT_OK
 
 
-def cmd_concavity_search(args) -> tuple[dict, int]:
+def cmd_concavity_search(args) -> tuple[dict, dict, int]:
     if args.dim < 2:
         raise MatrixFileError(f"dim must be at least 2, got {args.dim}")
     if not 1 <= args.m <= args.dim:
@@ -280,10 +279,10 @@ def cmd_concavity_search(args) -> tuple[dict, int]:
         # min keeps the first of equal defects
         worst = min(defects, key=lambda row: row[column])
         results[kind] = {"defect": float(worst[column]), "trial": worst[0], "t": worst[1]}
-    return build_report("concavity-search", {}, results, args), EXIT_OK
+    return {}, results, EXIT_OK
 
 
-def cmd_regularize(args) -> tuple[dict, int]:
+def cmd_regularize(args) -> tuple[dict, dict, int]:
     c_list = [float(c) for c in args.c]
     if any(not 0.0 < c < np.inf for c in c_list) or any(
         later >= earlier for earlier, later in zip(c_list[:-1], c_list[1:])
@@ -316,7 +315,7 @@ def cmd_regularize(args) -> tuple[dict, int]:
         "extrapolation_error": max(abs(x - e) for x, e in zip(extrapolated, exact)),
         "reduction_steps": reduction_steps,
     }
-    return build_report("regularize", inputs, results, args), EXIT_OK
+    return inputs, results, EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -331,25 +330,22 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="fidelity spectrum and partial fidelities of a pair")
-    p.add_argument("rho")
-    p.add_argument("omega")
-    p.set_defaults(func=cmd_spectrum)
+    def pair_cmd(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("rho")
+        p.add_argument("omega")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("decompose", help="optimal simultaneous decompositions of a pair")
-    p.add_argument("rho")
-    p.add_argument("omega")
-    p.set_defaults(func=cmd_decompose)
+    pair_cmd("spectrum", cmd_spectrum, "fidelity spectrum and partial fidelities of a pair")
+    pair_cmd("decompose", cmd_decompose, "optimal simultaneous decompositions of a pair")
 
-    p = sub.add_parser("verify", help="randomized search certifying the pairing upper bound")
-    p.add_argument("rho")
-    p.add_argument("omega")
+    p = pair_cmd("verify", cmd_verify, "randomized search certifying the pairing upper bound")
     p.add_argument("--m", type=int, default=None, help="pairing size (default: dim)")
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--lengths", type=int, nargs=2, default=None,
                    help="decomposition lengths (default: dim dim)")
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("nielsen", help="decomposition with prescribed vector norms")
     p.add_argument("tau")
@@ -364,20 +360,17 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_concavity_search)
 
-    p = sub.add_parser("regularize", help="regularization path toward a singular pair")
-    p.add_argument("rho")
-    p.add_argument("omega")
+    p = pair_cmd("regularize", cmd_regularize, "regularization path toward a singular pair")
     p.add_argument("--c", type=float, nargs="+", default=[1e-2, 1e-4, 1e-6],
                    help="regularization constants relative to each operator's trace, "
                         "strictly decreasing")
-    p.set_defaults(func=cmd_regularize)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        report, code = args.func(args)
+        inputs, results, code = args.func(args)
     except MatrixFileError as exc:
         print(f"pairdecomp: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -390,13 +383,9 @@ def main(argv=None) -> int:
     except PairDecompError as exc:
         print(f"pairdecomp: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    print(render_report(report))
+    print(render_report(build_report(args.command, inputs, results, args)))
     return code
 
 
 def run() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    run()

@@ -123,9 +123,8 @@ class PsdSpectrum(HermitianEig):
     """
 
     def rank(self) -> int:
-        vals = self.eigenvalues
-        lam_max = float(vals[0]) if vals.size else 0.0
-        return int(np.sum(vals > RANK_TOL * lam_max)) if lam_max > 0.0 else 0
+        # psd_spectrum's eigenvalues are nonempty, nonnegative and decreasing
+        return int(np.sum(self.eigenvalues > RANK_TOL * self.eigenvalues[0]))
 
     def basis(self) -> np.ndarray:
         """Orthonormal basis of the support, as columns."""
@@ -133,8 +132,7 @@ class PsdSpectrum(HermitianEig):
 
     def factor(self) -> np.ndarray:
         """Factor A (d x rank), scaled support eigenvectors: A A* = matrix."""
-        r = self.rank()
-        return self.eigenvectors[:, :r] * np.sqrt(self.eigenvalues[:r])
+        return self.exact_factor()[:, : self.rank()]
 
     def exact_factor(self) -> np.ndarray:
         """Factor over every nonzero eigenvalue, with no rank truncation."""
@@ -168,10 +166,6 @@ def hermitian_eig(matrix: np.ndarray) -> HermitianEig:
     a = hermitian_part(require_hermitian(matrix))
     n = a.shape[0]
     scale = frobenius(a)
-    if n == 1 or scale == 0.0:
-        vals = np.real(np.diag(a)).copy()
-        return HermitianEig(vals, np.eye(n, dtype=np.complex128))
-
     m = n + n % 2
     k = m // 2
     work = np.zeros((m, m), dtype=np.complex128)
@@ -291,8 +285,8 @@ def _require_pd(spectrum: PsdSpectrum, name: str) -> PsdSpectrum:
 def _half_powers(spectrum: PsdSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """a^{1/2} and a^{-1/2} of a positive definite matrix from its spectrum."""
     v = spectrum.eigenvectors
-    root = np.sqrt(spectrum.eigenvalues)
-    return (v * root) @ v.conj().T, (v * (1.0 / root)) @ v.conj().T
+    inverse_root = 1.0 / np.sqrt(spectrum.eigenvalues)
+    return spectrum.exact_factor() @ v.conj().T, (v * inverse_root) @ v.conj().T
 
 
 def _mean(a_half: np.ndarray, a_ihalf: np.ndarray, b: np.ndarray) -> np.ndarray:

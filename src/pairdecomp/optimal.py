@@ -183,7 +183,6 @@ def _lift_through_projection(
     b = projector @ a
     u, s, vh = np.linalg.svd(b, full_matrices=False)
     k = int(np.sum(s > matcore.LIFT_TOL * s[0])) if s.size and s[0] > 0.0 else 0
-    n = vectors.shape[0]
     forced = (vectors @ u[:, :k].conj()) / s[:k]  # rows: forced components of z_j
     free = r - k
     top = np.vstack([forced, np.zeros((free, k), dtype=np.complex128)])
@@ -236,13 +235,10 @@ def gauge_on_common_support(rho: StateOperator, omega: StateOperator) -> GaugePa
     """
     trace = support_reduction(rho, omega)
     basis = trace.final_rho.spectrum.basis()
-    rho_s = StateOperator(
-        matcore.hermitian_part(basis.conj().T @ trace.final_rho.matrix @ basis)
-    )
-    omega_s = StateOperator(
-        matcore.hermitian_part(basis.conj().T @ trace.final_omega.matrix @ basis)
-    )
-    reduced = solve_gauge(rho_s, omega_s)
+    reduced = solve_gauge(*(
+        StateOperator(matcore.hermitian_part(basis.conj().T @ operator.matrix @ basis))
+        for operator in (trace.final_rho, trace.final_omega)
+    ))
     projection = basis @ basis.conj().T
     complement = np.eye(rho.dim, dtype=np.complex128) - projection
     x_full = basis @ reduced.X @ basis.conj().T + complement

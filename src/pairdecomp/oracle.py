@@ -119,21 +119,16 @@ def random_search(
     upper = partial_fidelity_plus(rho, omega, m)
     len_psi, len_phi = lengths
 
-    best_value = -np.inf
-    best_seed = seed
-    for index in range(samples):
-        if index == 0:
-            exact = optimal_pair_general(rho, omega)
-            psi = pad_to_length(exact.psi, max(exact.psi.length, m))
-            phi = pad_to_length(exact.phi, max(exact.phi.length, m))
-        else:
-            sample_seed = seed + index
-            psi = random_decomposition(rho, len_psi, sample_seed)
-            phi = random_decomposition(omega, len_phi, sample_seed + samples)
+    exact = optimal_pair_general(rho, omega)
+    psi, phi = (pad_to_length(deco, max(deco.length, m)) for deco in (exact.psi, exact.phi))
+    best_value, best_seed = matching_value(psi, phi, m), seed
+    for sample_seed in range(seed + 1, seed + samples):
+        psi = random_decomposition(rho, len_psi, sample_seed)
+        phi = random_decomposition(omega, len_phi, sample_seed + samples)
         value = matching_value(psi, phi, m)
         if value > best_value:
             best_value = value
-            best_seed = seed + index
+            best_seed = sample_seed
     tol = SEARCH_TOL * np.sqrt(rho.trace * omega.trace)
     return SearchReport(
         m=m,

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from conftest import random_complex, random_psd_matrix, random_state, random_unit_vector
-from pairdecomp import matcore
+from pairdecomp import matcore, oracle
 from pairdecomp import (
     Decomposition,
     MTooLargeError,
+    OptimalPair,
     StateOperator,
     fidelity_spectrum,
     hermitian_eig,
     matching_value,
     max_weight_matching_value,
+    optimal_pair_general,
+    pad_to_length,
+    random_decomposition,
     random_search,
     spectral_decomposition,
 )
@@ -181,6 +185,36 @@ def test_search_decomposes_each_operator_once(monkeypatch):
         random_search(rho, omega, 2, (4, 4), samples=samples, seed=3)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_search_of_one_sample_scores_the_constructive_optimum():
+    rng = np.random.default_rng(11)
+    rho = random_state(rng, 3)
+    omega = random_state(rng, 3, rank=2)
+    m = 2
+    report = random_search(rho, omega, m, (3, 3), samples=1, seed=4)
+    exact = optimal_pair_general(rho, omega)
+    psi, phi = (pad_to_length(deco, max(deco.length, m)) for deco in (exact.psi, exact.phi))
+    assert report.best_seed == 4
+    assert report.attained
+    assert report.best_value == matching_value(psi, phi, m)
+
+
+def test_search_best_seed_redraws_the_best_sample(monkeypatch):
+    rng = np.random.default_rng(12)
+    rho = random_state(rng, 3)
+    omega = random_state(rng, 3)
+    zero = Decomposition(np.zeros((3, 3), dtype=complex))
+    # an optimum that scores 0 loses to every random sample
+    monkeypatch.setattr(
+        oracle, "optimal_pair_general", lambda *_: OptimalPair(zero, zero, np.zeros(3))
+    )
+    seed, samples, lengths = 20, 15, (3, 4)
+    report = random_search(rho, omega, 2, lengths, samples=samples, seed=seed)
+    assert seed < report.best_seed < seed + samples
+    psi = random_decomposition(rho, lengths[0], report.best_seed)
+    phi = random_decomposition(omega, lengths[1], report.best_seed + samples)
+    assert matching_value(psi, phi, 2) == report.best_value
 
 
 def test_search_requires_samples():
